@@ -1,13 +1,12 @@
 """Incremental training for graph neural networks on streaming graphs."""
 
 from .graph import (EgoNet, GraphError, GraphState, SnapshotDelta,
-                    deltas_equal, freeze_ego, l_hop_set, load_stream,
-                    replay, write_stream)
-from .model import (GnnParams, ModelError, forward, forward_batch,
-                    grad_check, load_params, loss_and_grad, loss_only,
-                    predict, predict_batch, save_params, sgd_step)
-from .detect import (ThresholdRule, propagate_f, score_approx, score_bfs,
-                     score_naive, select_influenced, surrogate_weights)
+                    freeze_ego, l_hop_set, load_stream, replay, write_stream)
+from .model import (GnnParams, ModelError, forward_batch, load_params,
+                    loss_and_grad, loss_only, predict_batch, save_params,
+                    sgd_step)
+from .detect import (ThresholdRule, score_approx, score_bfs, score_naive,
+                     select_influenced, surrogate_weights)
 from .memory import (MemoryEntry, ReplayMemory, load_memory, node_importance,
                      replace_prob, replay_batch, save_memory, update_memory)
 from .ewc import FisherDiag, estimate_fisher, ewc_penalty, uniform_importance

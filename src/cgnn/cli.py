@@ -107,8 +107,11 @@ def _add_common(p):
     p.add_argument("--lr", type=float)
     p.add_argument("--fanout", type=int)
     p.add_argument("--detector", choices=("naive", "bfs", "approx"))
-    p.add_argument("--threshold-ratio", type=float, dest="threshold_ratio")
-    p.add_argument("--threshold-abs", type=float, dest="threshold_abs")
+    threshold = p.add_mutually_exclusive_group()
+    threshold.add_argument("--threshold-ratio", type=float,
+                           dest="threshold_ratio")
+    threshold.add_argument("--threshold-abs", type=float,
+                           dest="threshold_abs")
     p.add_argument("--memory-size", type=int, dest="memory_size")
     p.add_argument("--memory-strategy", dest="memory_strategy",
                    choices=("random", "hierarchical", "stepwise"))
@@ -176,21 +179,15 @@ def main(argv=None):
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--steps", type=int)
     p_gen.add_argument("--per-step", type=int, dest="per_step")
-    p_gen.add_argument("--dim", type=int)
+    p_gen.add_argument("--dim", type=int, dest="feature_dim")
     p_gen.add_argument("--classes", type=int)
 
     args = parser.parse_args(argv)
 
     if args.command == "synthgen":
-        kwargs = {"seed": args.seed}
-        if args.steps is not None:
-            kwargs["steps"] = args.steps
-        if args.per_step is not None:
-            kwargs["per_step"] = args.per_step
-        if args.dim is not None:
-            kwargs["feature_dim"] = args.dim
-        if args.classes is not None:
-            kwargs["classes"] = args.classes
+        kwargs = {key: getattr(args, key) for key in
+                  ("seed", "steps", "per_step", "feature_dim", "classes")
+                  if getattr(args, key) is not None}
         paths = build_stream(SynthConfig(**kwargs), args.out)
         for name in sorted(paths):
             print("%s: %s" % (name, paths[name]))
@@ -198,17 +195,14 @@ def main(argv=None):
 
     spec = _gather(args)
     if args.command == "run":
-        _rows, summary = run_experiment(spec)
-        print(json.dumps(summary["models"], indent=2, sort_keys=True))
+        result = run_experiment(spec)[1]["models"]
     elif args.command == "casestudy":
-        _rows, summary = run_case_study(spec)
-        print(json.dumps(summary["models"], indent=2, sort_keys=True))
+        result = run_case_study(spec)[1]["models"]
     elif args.command == "ablate":
-        rows = run_ablation(spec, args.axis)
-        print(json.dumps(rows, indent=2, sort_keys=True))
-    elif args.command == "scale":
-        rows = run_scalability(spec, args.axis)
-        print(json.dumps(rows, indent=2, sort_keys=True))
+        result = run_ablation(spec, args.axis)
+    else:
+        result = run_scalability(spec, args.axis)
+    print(json.dumps(result, indent=2, sort_keys=True))
     if spec.out_dir:
         print("outputs in %s" % spec.out_dir, file=sys.stderr)
     return 0

@@ -57,16 +57,14 @@ def score_naive(params, g_old, g_new, candidates):
     if not ids:
         return {}
     H_new, _ = forward_batch(params, [(g_new, u) for u in ids])
+    # ids are sorted, so the ones the old snapshot has come first
     old_ids = [u for u in ids if u < g_old.n]
-    H_old = {}
+    H_old = np.zeros_like(H_new)
     if old_ids:
-        rows, _ = forward_batch(params, [(g_old, u) for u in old_ids])
-        H_old = {u: rows[i] for i, u in enumerate(old_ids)}
-    scores = {}
-    for i, u in enumerate(ids):
-        drift = H_new[i] - H_old[u] if u in H_old else H_new[i]
-        scores[u] = float(np.linalg.norm(drift))
-    return scores
+        H_old[:len(old_ids)], _ = forward_batch(
+            params, [(g_old, u) for u in old_ids])
+    return {u: float(np.linalg.norm(H_new[i] - H_old[i]))
+            for i, u in enumerate(ids)}
 
 
 def score_bfs(params, g_old, g_new, delta, depth=None):
@@ -121,50 +119,6 @@ def _propagation_run(view, seeds, depth, include_self):
     return region, F
 
 
-def propagate_f(view, seeds, depth, include_self=False):
-    """Propagation weights as a {(node, seed): value} map.
-
-    Pairs the propagation never reached are absent and exactly zero.
-    """
-    seeds = sorted(set(seeds))
-    if not seeds:
-        return {}
-    region, F = _propagation_run(view, seeds, depth, include_self)
-    out = {}
-    for i, u in enumerate(region):
-        for j, s in enumerate(seeds):
-            val = F[i, j]
-            if val != 0.0:
-                out[(u, s)] = float(val)
-    return out
-
-
-def _first_layer_batch(params, view, nodes):
-    """Exact first-layer representations with full neighborhoods."""
-    members = []
-    pos = {}
-    rows, cols, vals = [], [], []
-    for i, v in enumerate(nodes):
-        group = sorted(set(view.neighbors(v)) | {v})
-        w = 1.0 / len(group)
-        for m in group:
-            c = pos.get(m)
-            if c is None:
-                c = pos[m] = len(members)
-                members.append(m)
-            rows.append(i)
-            cols.append(c)
-            vals.append(w)
-    X = np.stack([view.feature_row(m) for m in members])
-    agg = sparse.csr_matrix((vals, (rows, cols)),
-                            shape=(len(nodes), len(members))) @ X
-    w = params.weights[0]
-    Z = agg @ w[:-1] + w[-1]
-    if params.layer_count > 1 and params.activation == "relu":
-        return np.maximum(Z, 0.0)
-    return Z
-
-
 def score_approx(params, g_old, g_new, delta, depth=None, include_self=False):
     """Linear-surrogate influence scores.
 
@@ -181,14 +135,13 @@ def score_approx(params, g_old, g_new, delta, depth=None, include_self=False):
         return {}
     structural = bool(delta.new_nodes or delta.edge_adds or delta.edge_removes)
     if structural:
-        seed_pos = {v: i for i, v in enumerate(seeds)}
-        h_new = _first_layer_batch(params, g_new, seeds)
+        h_new, _ = forward_batch(params, [(g_new, v) for v in seeds], upto=1)
+        # seeds are sorted, so the ones the old snapshot has come first
         old_seeds = [v for v in seeds if v < g_old.n]
         h_old = np.zeros_like(h_new)
         if old_seeds:
-            rows = _first_layer_batch(params, g_old, old_seeds)
-            for r, v in zip(rows, old_seeds):
-                h_old[seed_pos[v]] = r
+            h_old[:len(old_seeds)], _ = forward_batch(
+                params, [(g_old, v) for v in old_seeds], upto=1)
         change = np.linalg.norm(h_new - h_old, axis=1)
     else:
         wt = surrogate_weights(params)

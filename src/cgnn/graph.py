@@ -7,6 +7,7 @@ training, frozen replay entries) can never be corrupted by later stream
 activity.
 """
 
+import bisect
 import os
 from collections import deque
 from dataclasses import dataclass, field
@@ -19,6 +20,9 @@ class GraphError(ValueError):
 
 
 _FEATURE_TOL = 1e-9
+
+# The stream file set, each stored as <name>.txt in one directory.
+STREAM_FILES = ("edges", "features", "labels", "schedule")
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,27 +59,6 @@ class SnapshotDelta:
     def is_empty(self):
         return not (self.new_nodes or self.edge_adds or self.edge_removes
                     or self.attr_changes)
-
-
-def deltas_equal(a, b):
-    """Structural equality for deltas (ndarray-aware, used by round-trip tests)."""
-    if a.time != b.time:
-        return False
-    if len(a.new_nodes) != len(b.new_nodes):
-        return False
-    for (i1, f1, l1), (i2, f2, l2) in zip(a.new_nodes, b.new_nodes):
-        if i1 != i2 or l1 != l2 or not np.array_equal(f1, f2):
-            return False
-    if tuple(a.edge_adds) != tuple(b.edge_adds):
-        return False
-    if tuple(a.edge_removes) != tuple(b.edge_removes):
-        return False
-    if len(a.attr_changes) != len(b.attr_changes):
-        return False
-    for (i1, f1), (i2, f2) in zip(a.attr_changes, b.attr_changes):
-        if i1 != i2 or not np.array_equal(f1, f2):
-            return False
-    return True
 
 
 def _check_feature_row(row, dim, what):
@@ -191,8 +174,8 @@ class GraphState:
         for u, v in delta.edge_adds:
             if v in adj[u]:
                 raise GraphError("edge (%d, %d) already present" % (u, v))
-            _sorted_insert(adj[u], v)
-            _sorted_insert(adj[v], u)
+            bisect.insort(adj[u], v)
+            bisect.insort(adj[v], u)
         for u, v in delta.edge_removes:
             if v not in adj[u]:
                 raise GraphError("removal of absent edge (%d, %d)" % (u, v))
@@ -218,11 +201,6 @@ class GraphState:
                                                "attr change %d" % nid)
 
         return GraphState([tuple(a) for a in adj], features, labels, delta.time)
-
-
-def _sorted_insert(lst, x):
-    import bisect
-    bisect.insort(lst, x)
 
 
 def replay(deltas, feature_dim=0):
@@ -355,6 +333,7 @@ def load_stream(edges_path, features_path, labels_path, schedule_path=None):
         raise GraphError("labels file covers %d of %d nodes (first missing: %d)"
                          % (len(labels), n, missing[0]))
 
+    steps = 0
     if schedule_path is not None and os.path.exists(schedule_path):
         arrival = np.zeros(n, dtype=np.int64)
         cursor = 0
@@ -374,14 +353,17 @@ def load_stream(edges_path, features_path, labels_path, schedule_path=None):
                                        "schedule assigns more nodes than exist")
                 arrival[cursor:cursor + count] = step
                 cursor += count
+                steps = max(steps, step + 1)  # a step may bring no nodes
         if cursor != n:
             raise GraphError("schedule covers %d of %d nodes" % (cursor, n))
     else:
         arrival = np.array([labels[v][1] for v in range(n)], dtype=np.int64)
 
+    # An add of an edge that is already present, from an earlier step or
+    # an earlier line, is dropped when the deltas are assembled in step
+    # order; a removal makes the edge absent again.
     edge_adds = {}
     edge_removes = {}
-    seen_add = set()
     with open(edges_path) as fh:
         for lineno, line in enumerate(fh, 1):
             parts = line.split()
@@ -405,14 +387,10 @@ def load_stream(edges_path, features_path, labels_path, schedule_path=None):
             if len(parts) == 4:
                 edge_removes.setdefault(t, []).append(key)
             else:
-                if key in seen_add:
-                    continue  # tolerate duplicate listings in source data
-                seen_add.add(key)
                 edge_adds.setdefault(t, []).append(key)
 
-    steps = 0
     if n:
-        steps = int(arrival.max()) + 1
+        steps = max(steps, int(arrival.max()) + 1)
     for t in list(edge_adds) + list(edge_removes):
         steps = max(steps, t + 1)
 
@@ -429,6 +407,7 @@ def load_stream(edges_path, features_path, labels_path, schedule_path=None):
 
     deltas = []
     next_id = 0
+    present = set()
     for t in range(steps):
         ids = by_step.get(t, [])
         if ids and ids[0] != next_id:
@@ -438,12 +417,16 @@ def load_stream(edges_path, features_path, labels_path, schedule_path=None):
         new_nodes = tuple((v, features[v],
                            None if labels[v][0] < 0 else labels[v][0])
                           for v in ids)
-        deltas.append(SnapshotDelta(
-            time=t,
-            new_nodes=new_nodes,
-            edge_adds=tuple(sorted(edge_adds.get(t, []))),
-            edge_removes=tuple(sorted(edge_removes.get(t, []))),
-        ))
+        adds = []
+        for key in edge_adds.get(t, []):
+            if key not in present:
+                present.add(key)
+                adds.append(key)
+        removes = tuple(sorted(edge_removes.get(t, [])))
+        present.difference_update(removes)
+        deltas.append(SnapshotDelta(time=t, new_nodes=new_nodes,
+                                    edge_adds=tuple(sorted(adds)),
+                                    edge_removes=removes))
     return deltas
 
 
@@ -465,7 +448,7 @@ def write_stream(deltas, out_dir, feature_decimals=10):
     for delta in deltas:
         if delta.attr_changes:
             raise GraphError("attribute changes have no stream-file form")
-        counts.append((delta.time, len(delta.new_nodes)))
+        counts.append("%d %d" % (delta.time, len(delta.new_nodes)))
         for nid, feat, lab in delta.new_nodes:
             if nid != len(rows):
                 raise GraphError("non-contiguous node ids in stream")
@@ -476,19 +459,9 @@ def write_stream(deltas, out_dir, feature_decimals=10):
         for u, v in delta.edge_removes:
             edge_lines.append("%d %d %d -" % (u, v, delta.time))
 
-    paths = {
-        "edges": os.path.join(out_dir, "edges.txt"),
-        "features": os.path.join(out_dir, "features.txt"),
-        "labels": os.path.join(out_dir, "labels.txt"),
-        "schedule": os.path.join(out_dir, "schedule.txt"),
-    }
-    with open(paths["edges"], "w") as fh:
-        fh.write("\n".join(edge_lines) + ("\n" if edge_lines else ""))
-    with open(paths["features"], "w") as fh:
-        fh.write("\n".join(rows) + ("\n" if rows else ""))
-    with open(paths["labels"], "w") as fh:
-        fh.write("\n".join(labels) + ("\n" if labels else ""))
-    with open(paths["schedule"], "w") as fh:
-        fh.write("\n".join("%d %d" % (t, c) for t, c in counts)
-                 + ("\n" if counts else ""))
+    paths = {}
+    for name, lines in zip(STREAM_FILES, (edge_lines, rows, labels, counts)):
+        paths[name] = os.path.join(out_dir, name + ".txt")
+        with open(paths[name], "w") as fh:
+            fh.write("".join(line + "\n" for line in lines))
     return paths

@@ -13,16 +13,25 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .graph import load_stream
+from .graph import STREAM_FILES, load_stream
 from .metrics import accuracy, macro_f1
-from .model import embed_batch, predict_batch
+from .model import forward_batch, predict_batch
 from .synth import SynthConfig, generate
 from .train import MODELS, TrainConfig, run_stream
 
 _SPLIT_TAG = 419
 
-ABLATION_AXES = ("detector", "memory_strategy", "memory_size", "lambda",
-                 "reg_kind", "view_combo")
+# axis -> (the TrainConfig field it sets, or "view_combo"; default values)
+_ABLATIONS = {
+    "detector": ("detector", ("naive", "bfs", "approx")),
+    "memory_strategy": ("memory_strategy",
+                        ("random", "hierarchical", "stepwise")),
+    "memory_size": ("memory_size", (50, 100, 250, 500)),
+    "lambda": ("lam", (0.0, 80.0, 200.0, 400.0)),
+    "reg_kind": ("regularizer", ("none", "l2", "ewc")),
+    "view_combo": ("view_combo", ("none", "data", "model", "both")),
+}
+ABLATION_AXES = tuple(_ABLATIONS)
 SCALE_AXES = ("network_size", "stream_size")
 
 
@@ -55,10 +64,8 @@ class ExperimentSpec:
 
 def load_deltas(spec):
     if spec.data_dir is not None:
-        deltas = load_stream(os.path.join(spec.data_dir, "edges.txt"),
-                             os.path.join(spec.data_dir, "features.txt"),
-                             os.path.join(spec.data_dir, "labels.txt"),
-                             os.path.join(spec.data_dir, "schedule.txt"))
+        deltas = load_stream(*(os.path.join(spec.data_dir, name + ".txt")
+                               for name in STREAM_FILES))
     else:
         deltas = generate(spec.synth)
     dim = 0
@@ -95,26 +102,17 @@ def evaluate(params, state, ids):
     return y_true, y_pred
 
 
-def _metric_row(model, step, cohort, y_true, y_pred, report):
-    return {
-        "model": model,
-        "step": step,
-        "cohort": cohort,
-        "n": len(y_true),
-        "macro_f1": macro_f1(y_true, y_pred),
-        "accuracy": accuracy(y_true, y_pred),
-        "changed": report.changed,
-        "influenced": report.influenced,
-        "trained": report.trained,
-        "train_seconds": report.train_seconds,
-        "detection_seconds": report.detection_seconds,
-    }
-
-
 _CSV_COLUMNS = ("model", "step", "cohort", "n", "macro_f1", "accuracy",
                 "changed", "influenced", "trained", "train_seconds",
                 "detection_seconds")
 TIMING_COLUMNS = ("train_seconds", "detection_seconds")
+
+
+def _metric_row(model, step, cohort, y_true, y_pred, report):
+    return dict(zip(_CSV_COLUMNS, (
+        model, step, cohort, len(y_true), macro_f1(y_true, y_pred),
+        accuracy(y_true, y_pred), report.changed, report.influenced,
+        report.trained, report.train_seconds, report.detection_seconds)))
 
 
 def _format_cell(value):
@@ -123,13 +121,24 @@ def _format_cell(value):
     return str(value)
 
 
-def write_metrics_csv(rows, path):
+def write_csv(rows, path, columns):
+    """A header line, then one line per row dict; creates the directory."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w") as fh:
-        fh.write(",".join(_CSV_COLUMNS) + "\n")
+        fh.write(",".join(columns) + "\n")
         for row in rows:
-            fh.write(",".join(_format_cell(row[c]) for c in _CSV_COLUMNS)
-                     + "\n")
+            fh.write(",".join(_format_cell(row[c]) for c in columns) + "\n")
     return path
+
+
+def _write_outputs(out_dir, columns, rows, summary):
+    """metrics.csv with the given columns plus summary.json, if out_dir."""
+    if out_dir:
+        write_csv(rows, os.path.join(out_dir, "metrics.csv"), columns)
+        with open(os.path.join(out_dir, "summary.json"), "w") as fh:
+            json.dump(summary, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+    return summary
 
 
 def _run_one_model(model, deltas, dim, spec, train_sets, test_sets,
@@ -143,85 +152,72 @@ def _run_one_model(model, deltas, dim, spec, train_sets, test_sets,
 
     def hook(t, state, params, report):
         if spec.accumulate_test:
-            test_ids = set().union(*test_sets[:t + 1])
+            pools = [("all", set().union(*test_sets[:t + 1]))]
         else:
-            test_ids = test_sets[t]
-        if test_ids:
-            y_true, y_pred = evaluate(params, state, test_ids)
-            rows.append(_metric_row(model, t, "all", y_true, y_pred, report))
-        for c in cohorts:
-            if c > t or not test_sets[c]:
-                continue
-            y_true, y_pred = evaluate(params, state, test_sets[c])
-            rows.append(_metric_row(model, t, "step%d" % c, y_true, y_pred,
-                                    report))
+            pools = [("all", test_sets[t])]
+        pools += [("step%d" % c, test_sets[c]) for c in cohorts if c <= t]
+        for cohort, ids in pools:
+            if ids:
+                y_true, y_pred = evaluate(params, state, ids)
+                rows.append(_metric_row(model, t, cohort, y_true, y_pred,
+                                        report))
         if dump_embeddings and spec.out_dir:
             tracked = sorted(set().union(*(test_sets[c] for c in cohorts
-                                           if c <= t)) or set())
+                                           if c <= t)))
             if tracked:
-                reps = embed_batch(params, [(state, v) for v in tracked])
-                path = os.path.join(spec.out_dir,
-                                    "embeddings_step%d.csv" % t)
-                with open(path, "w") as fh:
-                    fh.write("node_id," + ",".join(
-                        "e%d" % i for i in range(reps.shape[1])) + "\n")
-                    for v, rep in zip(tracked, reps):
-                        fh.write(str(v) + "," + ",".join(
-                            "%.10f" % x for x in rep) + "\n")
+                reps, _ = forward_batch(params, [(state, v) for v in tracked],
+                                        upto=params.layer_count - 1)
+                columns = ["node_id"] + ["e%d" % i
+                                         for i in range(reps.shape[1])]
+                write_csv(
+                    [dict(zip(columns, [v] + list(rep)))
+                     for v, rep in zip(tracked, reps)],
+                    os.path.join(spec.out_dir, "embeddings_step%d.csv" % t),
+                    columns)
 
     run_stream(model, deltas, spec.cfg, dim, train_sets=train_sets,
                eval_hook=hook, checkpoint_dir=ckpt_dir)
     return rows
 
 
-def _summary(rows, extra=None):
-    """Step-averaged headline numbers per (model, cohort) pair."""
-    out = {}
+def _averages(rows):
+    """Step-averaged scores and summed timings over metric rows."""
+    return {
+        "macro_f1_avg": float(np.mean([r["macro_f1"] for r in rows])),
+        "accuracy_avg": float(np.mean([r["accuracy"] for r in rows])),
+        "train_seconds_total": float(sum(r["train_seconds"] for r in rows)),
+        "detection_seconds_total": float(
+            sum(r["detection_seconds"] for r in rows)),
+    }
+
+
+def _compare(spec, models, dump_embeddings, summary_extra):
+    """Run models on one stream and its splits; write rows and summary.
+
+    The summary holds step-averaged headline numbers per (model, cohort).
+    """
+    deltas, dim = load_deltas(spec)
+    train_sets, test_sets = make_splits(deltas, spec.split, spec.cfg.seed)
+    rows = []
+    for model in models or [spec.model]:
+        rows.extend(_run_one_model(model, deltas, dim, spec, train_sets,
+                                   test_sets, dump_embeddings))
+    groups = {}
     for row in rows:
-        key = (row["model"], row["cohort"])
-        out.setdefault(key, []).append(row)
+        groups.setdefault((row["model"], row["cohort"]), []).append(row)
     summary = {}
-    for (model, cohort), group in sorted(out.items()):
-        entry = summary.setdefault(model, {})
-        entry[cohort] = {
-            "macro_f1_avg": float(np.mean([r["macro_f1"] for r in group])),
-            "accuracy_avg": float(np.mean([r["accuracy"] for r in group])),
-            "steps": len(group),
-            "train_seconds_total": float(
-                sum(r["train_seconds"] for r in group)),
-            "detection_seconds_total": float(
-                sum(r["detection_seconds"] for r in group)),
-        }
-    blob = {"models": summary}
-    if extra:
-        blob.update(extra)
-    return blob
-
-
-def _write_outputs(spec, rows, summary_extra=None):
-    summary = _summary(rows, summary_extra)
-    if spec.out_dir:
-        os.makedirs(spec.out_dir, exist_ok=True)
-        write_metrics_csv(rows, os.path.join(spec.out_dir, "metrics.csv"))
-        with open(os.path.join(spec.out_dir, "summary.json"), "w") as fh:
-            json.dump(summary, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    return summary
+    for (model, cohort), group in sorted(groups.items()):
+        summary.setdefault(model, {})[cohort] = dict(_averages(group),
+                                                     steps=len(group))
+    blob = dict(summary_extra, models=summary, config=asdict(spec.cfg))
+    return rows, _write_outputs(spec.out_dir, _CSV_COLUMNS, rows, blob)
 
 
 def run_experiment(spec, models=None):
     """Train and evaluate one or more models on the same stream and splits.
 
     Returns (rows, summary)."""
-    deltas, dim = load_deltas(spec)
-    train_sets, test_sets = make_splits(deltas, spec.split, spec.cfg.seed)
-    rows = []
-    for model in models or [spec.model]:
-        rows.extend(_run_one_model(model, deltas, dim, spec, train_sets,
-                                   test_sets))
-    summary = _write_outputs(spec, rows, {"kind": "experiment",
-                                          "config": asdict(spec.cfg)})
-    return rows, summary
+    return _compare(spec, models, False, {"kind": "experiment"})
 
 
 def run_case_study(spec, models=None):
@@ -231,34 +227,8 @@ def run_case_study(spec, models=None):
     current parameters, and their hidden representations are written to
     embeddings_step<t>.csv for external visualization.
     """
-    deltas, dim = load_deltas(spec)
-    train_sets, test_sets = make_splits(deltas, spec.split, spec.cfg.seed)
-    rows = []
-    for model in models or [spec.model]:
-        rows.extend(_run_one_model(model, deltas, dim, spec, train_sets,
-                                   test_sets, dump_embeddings=True))
-    summary = _write_outputs(spec, rows, {
-        "kind": "case_study",
-        "cohorts": sorted(set(spec.cohort_steps)),
-        "config": asdict(spec.cfg)})
-    return rows, summary
-
-
-def _ablation_grid(axis, cfg):
-    if axis == "detector":
-        return [("detector", v) for v in ("naive", "bfs", "approx")]
-    if axis == "memory_strategy":
-        return [("memory_strategy", v)
-                for v in ("random", "hierarchical", "stepwise")]
-    if axis == "memory_size":
-        return [("memory_size", v) for v in (50, 100, 250, 500)]
-    if axis == "lambda":
-        return [("lam", v) for v in (0.0, 80.0, 200.0, 400.0)]
-    if axis == "reg_kind":
-        return [("regularizer", v) for v in ("none", "l2", "ewc")]
-    if axis == "view_combo":
-        return [("view_combo", v) for v in ("none", "data", "model", "both")]
-    raise ValueError("unknown ablation axis %r" % axis)
+    return _compare(spec, models, True, {
+        "kind": "case_study", "cohorts": sorted(set(spec.cohort_steps))})
 
 
 def apply_ablation_value(cfg, key, value):
@@ -278,53 +248,26 @@ def apply_ablation_value(cfg, key, value):
 def run_ablation(spec, axis, values=None):
     """Sweep one knob of the incremental model, everything else fixed.
 
-    Returns (rows, summary) where each row is one swept value's step-averaged
-    result.
+    Returns one row per swept value with its step-averaged result.
     """
+    if axis not in _ABLATIONS:
+        raise ValueError("unknown ablation axis %r" % axis)
+    key, defaults = _ABLATIONS[axis]
     deltas, dim = load_deltas(spec)
     train_sets, test_sets = make_splits(deltas, spec.split, spec.cfg.seed)
-    grid = _ablation_grid(axis, spec.cfg)
-    if values is not None:
-        key = grid[0][0] if axis != "view_combo" else "view_combo"
-        grid = [(key, v) for v in values]
     rows = []
-    for key, value in grid:
-        cfg = apply_ablation_value(spec.cfg, key, value)
-        step_rows = _run_one_model("continual", deltas, dim,
-                                   replace_spec_cfg(spec, cfg), train_sets,
-                                   test_sets)
-        rows.append({
-            "axis": axis,
-            "value": str(value),
-            "macro_f1_avg": float(np.mean([r["macro_f1"]
-                                           for r in step_rows])),
-            "accuracy_avg": float(np.mean([r["accuracy"]
-                                           for r in step_rows])),
-            "train_seconds_total": float(sum(r["train_seconds"]
-                                             for r in step_rows)),
-            "detection_seconds_total": float(sum(r["detection_seconds"]
-                                                 for r in step_rows)),
-        })
-    if spec.out_dir:
-        os.makedirs(spec.out_dir, exist_ok=True)
-        cols = ("axis", "value", "macro_f1_avg", "accuracy_avg",
-                "train_seconds_total", "detection_seconds_total")
-        with open(os.path.join(spec.out_dir, "metrics.csv"), "w") as fh:
-            fh.write(",".join(cols) + "\n")
-            for row in rows:
-                fh.write(",".join(_format_cell(row[c]) for c in cols) + "\n")
-        with open(os.path.join(spec.out_dir, "summary.json"), "w") as fh:
-            json.dump({"kind": "ablation", "axis": axis, "rows": rows},
-                      fh, indent=2, sort_keys=True)
-            fh.write("\n")
+    for value in defaults if values is None else values:
+        # sweep values share the parent's output files
+        sweep = replace(spec, cfg=apply_ablation_value(spec.cfg, key, value),
+                        out_dir=None, checkpoints=False)
+        step_rows = _run_one_model("continual", deltas, dim, sweep,
+                                   train_sets, test_sets)
+        rows.append(dict(_averages(step_rows), axis=axis, value=str(value)))
+    _write_outputs(spec.out_dir,
+                   ("axis", "value", "macro_f1_avg", "accuracy_avg",
+                    "train_seconds_total", "detection_seconds_total"),
+                   rows, {"kind": "ablation", "axis": axis, "rows": rows})
     return rows
-
-
-def replace_spec_cfg(spec, cfg):
-    out = replace(spec, cfg=cfg)
-    out.out_dir = None  # sweep values share the parent's output files
-    out.checkpoints = False
-    return out
 
 
 def run_scalability(spec, axis, sizes=None, models=("continual", "retrained")):
@@ -340,62 +283,34 @@ def run_scalability(spec, axis, sizes=None, models=("continual", "retrained")):
     if spec.synth is None:
         raise ValueError("scaling runs generate their own streams")
     base = spec.synth
-    rows = []
     if axis == "network_size":
-        steps_grid = sizes or (4, 8, 16)
-        for steps in steps_grid:
-            synth = replace(base, steps=steps,
-                            structure_shift_step=steps,
-                            attribute_shift_step=steps)
-            deltas = generate(synth)
-            dim = synth.feature_dim
-            train_sets, test_sets = make_splits(deltas, spec.split,
-                                                spec.cfg.seed)
-            for model in models:
-                _p, _m, reports = run_stream(model, deltas, spec.cfg, dim,
-                                             train_sets=train_sets)
-                last = reports[-1]
-                rows.append({
-                    "axis": axis, "model": model,
-                    "nodes": synth.steps * synth.per_step,
-                    "cohort": synth.per_step,
-                    "train_seconds": last.train_seconds,
-                    "detection_seconds": last.detection_seconds,
-                })
+        grid = [(steps, base.per_step) for steps in sizes or (4, 8, 16)]
     else:
-        cohort_grid = sizes or (64, 128, 256)
         total = base.steps * base.per_step
-        for cohort in cohort_grid:
-            steps = max(1, total // cohort)
-            synth = replace(base, steps=steps, per_step=cohort,
-                            structure_shift_step=steps,
-                            attribute_shift_step=steps)
-            deltas = generate(synth)
-            train_sets, test_sets = make_splits(deltas, spec.split,
-                                                spec.cfg.seed)
-            for model in models:
-                _p, _m, reports = run_stream(model, deltas, spec.cfg,
-                                             synth.feature_dim,
-                                             train_sets=train_sets)
-                rows.append({
-                    "axis": axis, "model": model,
-                    "nodes": steps * cohort,
-                    "cohort": cohort,
-                    "train_seconds": float(np.mean(
-                        [r.train_seconds for r in reports])),
-                    "detection_seconds": float(np.mean(
-                        [r.detection_seconds for r in reports])),
-                })
-    if spec.out_dir:
-        os.makedirs(spec.out_dir, exist_ok=True)
-        cols = ("axis", "model", "nodes", "cohort", "train_seconds",
-                "detection_seconds")
-        with open(os.path.join(spec.out_dir, "metrics.csv"), "w") as fh:
-            fh.write(",".join(cols) + "\n")
-            for row in rows:
-                fh.write(",".join(_format_cell(row[c]) for c in cols) + "\n")
-        with open(os.path.join(spec.out_dir, "summary.json"), "w") as fh:
-            json.dump({"kind": "scalability", "axis": axis, "rows": rows},
-                      fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        grid = [(max(1, total // cohort), cohort)
+                for cohort in sizes or (64, 128, 256)]
+    rows = []
+    for steps, cohort in grid:
+        synth = replace(base, steps=steps, per_step=cohort,
+                        structure_shift_step=steps, attribute_shift_step=steps)
+        deltas = generate(synth)
+        train_sets, _ = make_splits(deltas, spec.split, spec.cfg.seed)
+        for model in models:
+            _p, _m, reports = run_stream(model, deltas, spec.cfg,
+                                         synth.feature_dim,
+                                         train_sets=train_sets)
+            timed = reports[-1:] if axis == "network_size" else reports
+            rows.append({
+                "axis": axis, "model": model,
+                "nodes": steps * cohort,
+                "cohort": cohort,
+                "train_seconds": float(np.mean(
+                    [r.train_seconds for r in timed])),
+                "detection_seconds": float(np.mean(
+                    [r.detection_seconds for r in timed])),
+            })
+    _write_outputs(spec.out_dir,
+                   ("axis", "model", "nodes", "cohort", "train_seconds",
+                    "detection_seconds"),
+                   rows, {"kind": "scalability", "axis": axis, "rows": rows})
     return rows

@@ -144,6 +144,11 @@ def update_memory(mem, candidates, view, ego_depth, rng):
     are frozen only at admission time.
     """
     out = mem.copy()
+
+    def admit(v, label):
+        out.entries[label].append(
+            MemoryEntry(freeze_ego(view, v, ego_depth), label, view.time))
+
     for v in sorted(set(candidates)):
         label = view.label(v)
         if label is None:
@@ -155,15 +160,13 @@ def update_memory(mem, candidates, view, ego_depth, rng):
 
         if out.strategy == "random":
             if out.size < out.capacity:
-                out.entries[label].append(
-                    MemoryEntry(freeze_ego(view, v, ego_depth), label, view.time))
-            elif rng.random() < out.capacity / out.seen_total:
+                admit(v, label)
+            elif rng.random() < replace_prob(out, label, 0.0):
                 flat = [(k, i) for k in sorted(out.entries)
                         for i in range(len(out.entries[k]))]
                 k, i = flat[rng.integers(len(flat))]
                 out.entries[k].pop(i)
-                out.entries[label].append(
-                    MemoryEntry(freeze_ego(view, v, ego_depth), label, view.time))
+                admit(v, label)
             continue
 
         targets = out.target_slots()
@@ -172,19 +175,14 @@ def update_memory(mem, candidates, view, ego_depth, rng):
         if held < slots:
             if out.size >= out.capacity:
                 _evict_most_over(out, targets)
-            out.entries[label].append(
-                MemoryEntry(freeze_ego(view, v, ego_depth), label, view.time))
+            admit(v, label)
         elif slots > 0:
             importance = 0.0
             if out.strategy == "stepwise" and out.alpha != 0.0:
                 importance = node_importance(view, v)
-            p = min(1.0, slots / out.seen[label]
-                    * (1.0 + (out.alpha * importance
-                              if out.strategy == "stepwise" else 0.0)))
-            if rng.random() < p:
+            if rng.random() < replace_prob(out, label, importance):
                 out.entries[label].pop(int(rng.integers(held)))
-                out.entries[label].append(
-                    MemoryEntry(freeze_ego(view, v, ego_depth), label, view.time))
+                admit(v, label)
     return out
 
 

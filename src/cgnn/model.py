@@ -14,8 +14,8 @@ would be positively homogeneous and standardized inputs unreachable.
 Forward passes over a batch share one layered computation plan. The plan
 records which nodes are needed at each depth and which neighbors were
 sampled, and the aggregation at each layer is a sparse row-stochastic matrix.
-Gradients are derived by hand from that plan; a finite-difference checker
-validates them.
+Gradients are derived by hand from that plan; the tests validate them
+against finite differences.
 """
 
 import numpy as np
@@ -96,36 +96,9 @@ class GnnParams:
         return GnnParams([w.copy() for w in self.weights[:-1]] + [grown],
                          self.activation)
 
-    def flat(self):
-        return np.concatenate([w.ravel() for w in self.weights])
-
 
 def zero_grads(params):
     return [np.zeros_like(w) for w in params.weights]
-
-
-class ForwardTrace:
-    """Everything needed to rerun the backward pass without the graph.
-
-    keys[l] lists the (view_index, node) pairs computed at depth l, samples[l]
-    maps each pair to the sorted member ids of its mean (self included), and
-    mats/means/preacts hold the per-layer aggregation matrix, aggregated
-    inputs and pre-activations.
-    """
-
-    __slots__ = ("keys", "samples", "mats", "means", "preacts", "inputs",
-                 "row_of", "views")
-
-    def __init__(self, keys, samples, mats, means, preacts, inputs, row_of,
-                 views):
-        self.keys = keys
-        self.samples = samples
-        self.mats = mats
-        self.means = means
-        self.preacts = preacts
-        self.inputs = inputs
-        self.row_of = row_of
-        self.views = views
 
 
 def _build_plan(L, pairs, fanout, rng):
@@ -134,31 +107,13 @@ def _build_plan(L, pairs, fanout, rng):
     Member lists are sorted by node id before aggregation, so the output does
     not depend on the order a view reports neighbors in.
     """
-    views = []
-    view_index = {}
-    keyed = []
-    for view, node in pairs:
-        vid = view_index.get(id(view))
-        if vid is None:
-            vid = len(views)
-            view_index[id(view)] = vid
-            views.append(view)
-        keyed.append((vid, node))
-
+    views = {id(view): view for view, _node in pairs}
+    keyed = [(id(view), node) for view, node in pairs]
     keys = [None] * (L + 1)
     samples = [None] * (L + 1)
-    top = []
-    top_pos = {}
-    for key in keyed:
-        if key not in top_pos:
-            top_pos[key] = len(top)
-            top.append(key)
-    keys[L] = top
-
+    keys[L] = list(dict.fromkeys(keyed))
     for l in range(L, 0, -1):
         members = {}
-        nxt = []
-        nxt_pos = {}
         for key in keys[l]:
             vid, u = key
             nbrs = views[vid].neighbors(u)
@@ -168,15 +123,10 @@ def _build_plan(L, pairs, fanout, rng):
                 take = rng.permutation(len(nbrs))[:fanout]
                 chosen = [nbrs[i] for i in take]
             chosen.append(u)
-            chosen = sorted(set(chosen))
-            members[key] = chosen
-            for w in chosen:
-                kw = (vid, w)
-                if kw not in nxt_pos:
-                    nxt_pos[kw] = len(nxt)
-                    nxt.append(kw)
+            members[key] = sorted(set(chosen))
         samples[l] = members
-        keys[l - 1] = nxt
+        keys[l - 1] = list(dict.fromkeys(
+            (key[0], w) for key, chosen in members.items() for w in chosen))
     return views, keyed, keys, samples
 
 
@@ -205,17 +155,14 @@ class BatchPlan:
     forward/backward passes against changing parameters.
     """
 
-    __slots__ = ("keys", "samples", "mats", "inputs", "row_of", "views",
-                 "keyed")
+    __slots__ = ("keys", "samples", "mats", "inputs", "row_of")
 
-    def __init__(self, keys, samples, mats, inputs, row_of, views, keyed):
+    def __init__(self, keys, samples, mats, inputs, row_of):
         self.keys = keys
         self.samples = samples
         self.mats = mats
         self.inputs = inputs
         self.row_of = row_of
-        self.views = views
-        self.keyed = keyed
 
 
 def prepare_batch(layer_count, pairs, fanout=None, rng=None):
@@ -236,69 +183,57 @@ def prepare_batch(layer_count, pairs, fanout=None, rng=None):
         mats[l] = _aggregation_matrix(keys[l], samples[l], pos_prev)
         pos_prev = {key: i for i, key in enumerate(keys[l])}
     row_of = [pos_prev[key] for key in keyed]
-    return BatchPlan(keys, samples, mats, inputs, row_of, views, keyed)
+    return BatchPlan(keys, samples, mats, inputs, row_of)
 
 
-def forward_batch(params, pairs, fanout=None, rng=None, plan=None):
-    """Representations for a batch of (view, node) pairs.
+def _layers(params, plan):
+    """Run the plan's layers over all its rows.
 
-    fanout=None aggregates full neighborhoods deterministically; with a
-    finite fanout, larger neighbor lists are subsampled uniformly without
-    replacement using rng. Passing a BatchPlan prepared for the same pairs
-    reuses its frozen sampling instead.
-
-    Returns (H, trace) where H[j] is the final representation of pairs[j].
+    Returns (H, means, preacts): the top level's representations plus the
+    aggregated input and pre-activation of each layer, which the backward
+    pass reads. Layers below the network's last apply the activation.
     """
-    if plan is None:
-        plan = prepare_batch(params.layer_count, pairs, fanout, rng)
-    L = params.layer_count
-    means = [None] * (L + 1)
-    preacts = [None] * (L + 1)
+    depth = len(plan.mats) - 1
+    means = [None] * (depth + 1)
+    preacts = [None] * (depth + 1)
     H = plan.inputs
-    for l in range(1, L + 1):
+    for l in range(1, depth + 1):
         agg = plan.mats[l] @ H
         w = params.weights[l - 1]
         Z = agg @ w[:-1] + w[-1]
         means[l] = agg
         preacts[l] = Z
-        if l < L and params.activation == "relu":
+        if l < params.layer_count and params.activation == "relu":
             H = np.maximum(Z, 0.0)
         else:
             H = Z
-    trace = ForwardTrace(plan.keys, plan.samples, plan.mats, means, preacts,
-                         plan.inputs, plan.row_of, plan.views)
-    return H[plan.row_of], trace
+    return H, means, preacts
 
 
-def forward(params, view, node, fanout=None, rng=None):
-    """Single-node convenience wrapper around forward_batch."""
-    H, trace = forward_batch(params, [(view, node)], fanout, rng)
-    return H[0], trace
+def forward_batch(params, pairs, fanout=None, rng=None, plan=None,
+                  upto=None):
+    """Representations for a batch of (view, node) pairs.
 
+    fanout=None aggregates full neighborhoods deterministically; with a
+    finite fanout, larger neighbor lists are subsampled uniformly without
+    replacement using rng. Passing a BatchPlan prepared for the same pairs
+    reuses its frozen sampling instead. upto=k stops after layer k, on a
+    k-layer plan: upto=layer_count - 1 gives the last hidden layer, upto=0
+    the raw feature rows.
 
-def embed_batch(params, pairs, fanout=None, rng=None):
-    """Last-hidden-layer representation per (view, node) pair.
-
-    For a one-layer network this is the raw feature row.
+    Returns (H, plan) where H[j] is the representation of pairs[j].
     """
-    if fanout is not None and rng is None:
-        raise ModelError("sampled forward needs an rng")
-    if not pairs:
-        raise ModelError("empty batch")
-    L = params.layer_count
-    views, keyed, keys, samples = _build_plan(L, pairs, fanout, rng)
-
-    pos = {key: i for i, key in enumerate(keys[0])}
-    H = np.empty((len(keys[0]), params.in_dim), dtype=np.float64)
-    for key, i in pos.items():
-        H[i] = views[key[0]].feature_row(key[1])
-    for l in range(1, L):
-        mat = _aggregation_matrix(keys[l], samples[l], pos)
-        w = params.weights[l - 1]
-        Z = (mat @ H) @ w[:-1] + w[-1]
-        H = np.maximum(Z, 0.0) if params.activation == "relu" else Z
-        pos = {key: i for i, key in enumerate(keys[l])}
-    return H[[pos[key] for key in keyed]]
+    depth = params.layer_count if upto is None else upto
+    if not 0 <= depth <= params.layer_count:
+        raise ModelError("cannot stop after layer %d of %d"
+                         % (depth, params.layer_count))
+    if plan is None:
+        plan = prepare_batch(depth, pairs, fanout, rng)
+    elif len(plan.mats) - 1 != depth:
+        raise ModelError("plan has %d layers, not %d"
+                         % (len(plan.mats) - 1, depth))
+    H, _means, _preacts = _layers(params, plan)
+    return H[plan.row_of], plan
 
 
 def softmax(z):
@@ -313,16 +248,15 @@ def predict_batch(params, pairs, fanout=None, rng=None):
     return softmax(H)
 
 
-def predict(params, view, node, fanout=None, rng=None):
-    return predict_batch(params, [(view, node)], fanout, rng)[0]
-
-
 def _batch_loss(params, batch, fanout, rng, with_grad, plan=None):
     pairs = [(view, node) for view, node, _lab in batch]
     labels = np.array([lab for _v, _n, lab in batch], dtype=np.int64)
     if labels.min() < 0 or labels.max() >= params.out_dim:
         raise ModelError("label outside the classifier range")
-    H, trace = forward_batch(params, pairs, fanout, rng, plan=plan)
+    if plan is None:
+        plan = prepare_batch(params.layer_count, pairs, fanout, rng)
+    H, means, preacts = _layers(params, plan)
+    H = H[plan.row_of]
 
     shifted = H - H.max(axis=1, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=1))
@@ -332,23 +266,19 @@ def _batch_loss(params, batch, fanout, rng, with_grad, plan=None):
         return loss, None
 
     L = params.layer_count
-    probs = np.exp(logp)
-    top_rows = len(trace.keys[L])
-    dZ = np.zeros((top_rows, params.out_dim), dtype=np.float64)
-    scale = 1.0 / len(batch)
-    for j, row in enumerate(trace.row_of):
-        g = probs[j].copy()
-        g[labels[j]] -= 1.0
-        dZ[row] += g * scale
+    G = np.exp(logp)
+    G[np.arange(len(batch)), labels] -= 1.0
+    dZ = np.zeros((len(plan.keys[L]), params.out_dim), dtype=np.float64)
+    np.add.at(dZ, plan.row_of, G * (1.0 / len(batch)))
 
     grads = zero_grads(params)
     for l in range(L, 0, -1):
-        grads[l - 1][:-1] += trace.means[l].T @ dZ
+        grads[l - 1][:-1] += means[l].T @ dZ
         grads[l - 1][-1] += dZ.sum(axis=0)
         if l > 1:
-            dH = trace.mats[l].T @ (dZ @ params.weights[l - 1][:-1].T)
+            dH = plan.mats[l].T @ (dZ @ params.weights[l - 1][:-1].T)
             if params.activation == "relu":
-                dZ = dH * (trace.preacts[l - 1] > 0.0)
+                dZ = dH * (preacts[l - 1] > 0.0)
             else:
                 dZ = dH
     return loss, grads
@@ -378,39 +308,6 @@ def sgd_step(params, grads, lr):
             raise ModelError("non-finite gradient entry")
         out.append(w - lr * g)
     return GnnParams(out, params.activation)
-
-
-def grad_check(params, batch, eps=1e-5, fanout=None, seed=0, grads=None):
-    """Max relative error between analytic and central-difference gradients.
-
-    Every loss evaluation reruns the pipeline with a generator built from the
-    same seed, so sampled neighborhoods match between the analytic pass and
-    both sides of each finite difference.
-    """
-    def fresh_rng():
-        return np.random.default_rng(seed) if fanout is not None else None
-
-    if grads is None:
-        _, grads = loss_and_grad(params, batch, fanout, fresh_rng())
-
-    worst = 0.0
-    for li, w in enumerate(params.weights):
-        it = np.nditer(w, flags=["multi_index"])
-        while not it.finished:
-            idx = it.multi_index
-            orig = w[idx]
-            w[idx] = orig + eps
-            hi = loss_only(params, batch, fanout, fresh_rng())
-            w[idx] = orig - eps
-            lo = loss_only(params, batch, fanout, fresh_rng())
-            w[idx] = orig
-            fd = (hi - lo) / (2.0 * eps)
-            a = grads[li][idx]
-            rel = abs(a - fd) / max(abs(a), abs(fd), 1e-6)
-            if rel > worst:
-                worst = rel
-            it.iternext()
-    return worst
 
 
 CHECKPOINT_VERSION = 1

@@ -9,7 +9,8 @@ training nodes.
 Reference modes for comparison runs: "pretrained" fits only the first
 snapshot, "online" keeps fitting the changed nodes, "single" refits from
 scratch on the changed nodes, "retrained" refits from scratch on every
-labeled node seen so far.
+labeled node seen so far. All five run the same step function; a table
+row per model says which parts of the step it uses.
 
 Randomness is drawn from generators derived from (seed, purpose, step), so
 a run continued from a checkpoint consumes exactly the streams the original
@@ -17,8 +18,9 @@ run would have.
 """
 
 import os
+import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -34,7 +36,6 @@ MODELS = ("continual", "pretrained", "online", "single", "retrained")
 
 _INIT_TAG = 101
 _STEP_TAG = 211
-_EVAL_TAG = 307
 
 
 @dataclass
@@ -128,14 +129,16 @@ def detect_influenced(params, g_prev, g_t, delta, cfg):
     return influenced, time.perf_counter() - start
 
 
-def _train_epochs(params, fresh, replayed, fisher, cfg, rng, step,
+def _train_epochs(params, fresh, replayed, fisher, cfg, rng,
                   decompose=False):
     """SGD epochs over fresh plus replayed triples.
 
-    Returns (params, per_epoch_loss, loss_parts, epoch_seconds). With
-    decompose set, per-epoch numbers are recomputed at the end of each epoch
-    as summed fresh loss, summed replay loss and penalty, so the reported
-    total always equals the sum of its parts.
+    Returns (params, per_epoch_loss, loss_parts, epoch_seconds). Each
+    epoch's loss is recomputed at its end on the step's frozen plans. With
+    decompose set it is the summed fresh loss, summed replay loss and
+    penalty, on plans of their own for the fresh and the replayed triples,
+    so the reported total always equals the sum of its parts; otherwise it
+    is the mean loss over the training plans.
     """
     entries = list(replayed) + list(fresh)
     losses = []
@@ -149,36 +152,26 @@ def _train_epochs(params, fresh, replayed, fisher, cfg, rng, step,
     # strength every batch would make it len(entries) times stiffer.
     pscale = 1.0 / len(entries)
 
+    def plan(triples):
+        return prepare_batch(params.layer_count,
+                             [(g, v) for g, v, _lab in triples],
+                             cfg.fanout, rng)
+
     # Neighborhoods are sampled once per step: full-batch schedules freeze
     # one plan, minibatch schedules freeze one random partition with a plan
     # per part and only reshuffle the visiting order each epoch.
     full = cfg.batch_size >= len(entries)
-    plan = None
-    parts_plans = None
-    fresh_plan = None
-    replay_plan = None
     if full:
-        plan = prepare_batch(params.layer_count,
-                             [(g, v) for g, v, _lab in entries],
-                             cfg.fanout, rng)
+        batches = [(entries, plan(entries))]
     else:
         order = rng.permutation(len(entries))
-        parts_plans = []
+        batches = []
         for lo in range(0, len(order), cfg.batch_size):
             batch = [entries[i] for i in order[lo:lo + cfg.batch_size]]
-            bplan = prepare_batch(params.layer_count,
-                                  [(g, v) for g, v, _lab in batch],
-                                  cfg.fanout, rng)
-            parts_plans.append((batch, bplan))
+            batches.append((batch, plan(batch)))
     if decompose:
-        if fresh:
-            fresh_plan = prepare_batch(
-                params.layer_count, [(g, v) for g, v, _lab in fresh],
-                cfg.fanout, rng)
-        if replayed:
-            replay_plan = prepare_batch(
-                params.layer_count, [(g, v) for g, v, _lab in replayed],
-                cfg.fanout, rng)
+        groups = [(triples, plan(triples) if triples else None)
+                  for triples in (fresh, replayed)]
 
     # Late in a stream the loss surface sharpens as margins grow, and a
     # step size that was fine for ten steps can start oscillating. A
@@ -190,11 +183,10 @@ def _train_epochs(params, fresh, replayed, fisher, cfg, rng, step,
     step_lr = cfg.lr
     prev_total = None
     best = None
-    for epoch in range(cfg.epochs):
+    for _epoch in range(cfg.epochs):
         start = time.perf_counter()
         if full:
-            loss, grads = loss_and_grad(params, entries, cfg.fanout, rng,
-                                        plan=plan)
+            loss, grads = loss_and_grad(params, entries, plan=batches[0][1])
             total = loss
             if penalized:
                 pen, pgrads = ewc_penalty(params, fisher, cfg.lam)
@@ -208,10 +200,9 @@ def _train_epochs(params, fresh, replayed, fisher, cfg, rng, step,
             params = sgd_step(params, grads, step_lr)
         else:
             epoch_loss = 0.0
-            for bi in rng.permutation(len(parts_plans)):
-                batch, bplan = parts_plans[bi]
-                loss, grads = loss_and_grad(params, batch, cfg.fanout, rng,
-                                            plan=bplan)
+            for bi in rng.permutation(len(batches)):
+                batch, bplan = batches[bi]
+                loss, grads = loss_and_grad(params, batch, plan=bplan)
                 epoch_loss += loss * len(batch)
                 if penalized:
                     _, pgrads = ewc_penalty(params, fisher, cfg.lam)
@@ -224,20 +215,112 @@ def _train_epochs(params, fresh, replayed, fisher, cfg, rng, step,
         seconds.append(time.perf_counter() - start)
 
         if decompose:
-            erng = np.random.default_rng([cfg.seed, _EVAL_TAG, step, epoch])
-            l_new = (loss_only(params, fresh, cfg.fanout, erng,
-                               plan=fresh_plan) * len(fresh)
-                     if fresh else 0.0)
-            l_data = (loss_only(params, replayed, cfg.fanout, erng,
-                                plan=replay_plan)
-                      * len(replayed) if replayed else 0.0)
+            l_new, l_data = (loss_only(params, triples, plan=tplan)
+                             * len(triples) if triples else 0.0
+                             for triples, tplan in groups)
             l_model = ewc_penalty(params, fisher, cfg.lam)[0] if penalized else 0.0
             losses.append(l_new + l_data + l_model)
             parts.append((l_new, l_data, l_model))
         else:
-            erng = np.random.default_rng([cfg.seed, _EVAL_TAG, step, epoch])
-            losses.append(loss_only(params, entries, cfg.fanout, erng))
+            losses.append(sum(loss_only(params, batch, plan=bplan) * len(batch)
+                              for batch, bplan in batches) / len(entries))
     return params, losses, parts, seconds
+
+
+@dataclass(frozen=True)
+class _Mode:
+    """How one model variant runs the shared step.
+
+    reinit: fresh parameters every step, rather than once at the first.
+    expand: grow the classifier when a step brings unseen classes.
+    scope: the labels a step trains on. "influenced" runs detection and
+        takes the influenced nodes among all training nodes so far; "step"
+        takes the step's own training nodes, "first" those of step 0 only,
+        "history" every training node so far.
+    replay: train with the replay memory and the penalty, report the loss
+        parts, and offer the trained nodes to the memory afterwards.
+    """
+
+    reinit: bool
+    expand: bool
+    scope: str
+    replay: bool = False
+
+
+_MODES = {
+    "continual": _Mode(reinit=False, expand=True, scope="influenced",
+                       replay=True),
+    "pretrained": _Mode(reinit=False, expand=False, scope="first"),
+    "online": _Mode(reinit=False, expand=True, scope="step"),
+    "single": _Mode(reinit=True, expand=False, scope="step"),
+    "retrained": _Mode(reinit=True, expand=False, scope="history"),
+}
+
+
+def _mode(model, cfg):
+    if model not in _MODES:
+        raise ValueError("unknown model %r" % model)
+    if model == "online" and cfg.online_scope == "detector":
+        return replace(_MODES[model], scope="influenced")
+    return _MODES[model]
+
+
+def _step(model, params, mem, g_prev, delta, cfg, rng, train_nodes=None,
+          step_train=()):
+    """One stream step of any model. Returns (params, memory, snapshot,
+    report).
+
+    params None initializes them from the new snapshot. train_nodes, when
+    given, is the set of nodes whose labels training may use so far;
+    step_train the ones this step brought.
+    """
+    mode = _mode(model, cfg)
+    g_t = g_prev.apply_delta(delta)
+    if params is None or mode.reinit:
+        params = _init_params(cfg, g_t.feature_dim, g_t.class_count(),
+                              g_t.time)
+    elif mode.expand and g_t.class_count() > params.out_dim:
+        params = params.expand_classes(g_t.class_count())
+
+    influenced = set()
+    det_seconds = 0.0
+    if mode.scope == "influenced":
+        influenced, det_seconds = detect_influenced(params, g_prev, g_t,
+                                                    delta, cfg)
+        train_ids = sorted(
+            v for v in influenced if g_t.label(v) is not None
+            and (train_nodes is None or v in train_nodes))
+    elif mode.scope == "history":
+        train_ids = sorted(v for v in train_nodes if g_t.label(v) is not None)
+    elif mode.scope == "first" and g_t.time != 0:
+        train_ids = []
+    else:
+        train_ids = sorted(step_train)
+    fresh = [(g_t, v, g_t.label(v)) for v in train_ids]
+
+    replayed = []
+    fisher = None
+    if mode.replay:
+        if cfg.use_replay:
+            replayed = replay_batch(mem)
+        if cfg.lam > 0:
+            if cfg.regularizer == "ewc" and mem.size > 0:
+                fisher = estimate_fisher(params, mem, fanout=None)
+            elif cfg.regularizer == "l2":
+                fisher = uniform_importance(params)
+
+    params, losses, parts, seconds = _train_epochs(
+        params, fresh, replayed, fisher, cfg, rng, decompose=mode.replay)
+    if mode.replay:
+        mem = update_memory(mem, train_ids, g_t, params.layer_count, rng)
+
+    report = StepReport(step=g_t.time, model=model,
+                        changed=len(delta.changed_nodes()),
+                        influenced=len(influenced), trained=len(fresh),
+                        replayed=len(replayed), per_epoch_loss=losses,
+                        loss_parts=parts, epoch_seconds=seconds,
+                        detection_seconds=det_seconds)
+    return params, mem, g_t, report
 
 
 def continual_step(params, mem, g_prev, delta, cfg, rng, train_nodes=None):
@@ -247,45 +330,32 @@ def continual_step(params, mem, g_prev, delta, cfg, rng, train_nodes=None):
     use; influenced nodes outside it still count as influenced but are not
     fit or stored.
     """
-    g_t = g_prev.apply_delta(delta)
-    class_count = g_t.class_count()
-    if class_count > params.out_dim:
-        params = params.expand_classes(class_count)
+    return _step("continual", params, mem, g_prev, delta, cfg, rng,
+                 train_nodes)
 
-    influenced, det_seconds = detect_influenced(params, g_prev, g_t, delta, cfg)
-    candidates = sorted(
-        v for v in influenced
-        if g_t.label(v) is not None and (train_nodes is None or v in train_nodes))
-    fresh = [(g_t, v, g_t.label(v)) for v in candidates]
-    replayed = replay_batch(mem) if cfg.use_replay else []
 
-    fisher = None
-    if cfg.lam > 0:
-        if cfg.regularizer == "ewc" and mem.size > 0:
-            fisher = estimate_fisher(params, mem, fanout=None)
-        elif cfg.regularizer == "l2":
-            fisher = uniform_importance(params)
+def _atomic_save(save, obj, path):
+    """save(obj, fh) into a temporary file beside path, then rename it.
 
-    params, losses, parts, seconds = _train_epochs(
-        params, fresh, replayed, fisher, cfg, rng, g_t.time, decompose=True)
-    mem = update_memory(mem, candidates, g_t, params.layer_count, rng)
-
-    report = StepReport(step=g_t.time, model="continual",
-                        changed=len(delta.changed_nodes()),
-                        influenced=len(influenced), trained=len(fresh),
-                        replayed=len(replayed), per_epoch_loss=losses,
-                        loss_parts=parts, epoch_seconds=seconds,
-                        detection_seconds=det_seconds)
-    return params, mem, g_t, report
+    A save that fails leaves path as it was.
+    """
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path),
+                               prefix=os.path.basename(path) + ".")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            save(obj, fh)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _checkpoint(params, mem, out_dir, step):
     path = os.path.join(out_dir, "step%d.ckpt" % step)
-    with open(path, "wb") as fh:
-        save_params(params, fh)
+    _atomic_save(save_params, params, path)
     if mem is not None:
-        with open(os.path.join(out_dir, "step%d.mem" % step), "wb") as fh:
-            save_memory(mem, fh)
+        _atomic_save(save_memory, mem,
+                     os.path.join(out_dir, "step%d.mem" % step))
     return path
 
 
@@ -302,8 +372,7 @@ def run_stream(model, deltas, cfg, feature_dim, train_sets=None,
 
     Returns (params, memory, reports).
     """
-    if model not in MODELS:
-        raise ValueError("unknown model %r" % model)
+    mode = _mode(model, cfg)
     if checkpoint_dir:
         os.makedirs(checkpoint_dir, exist_ok=True)
 
@@ -318,65 +387,19 @@ def run_stream(model, deltas, cfg, feature_dim, train_sets=None,
     params = init_params
     mem = init_mem
     if mem is None:
-        mem = ReplayMemory(cfg.memory_size if model == "continual" else 0,
+        mem = ReplayMemory(cfg.memory_size if mode.replay else 0,
                            cfg.memory_strategy, cfg.alpha)
     reports = []
 
     for t in range(start_step, len(deltas)):
-        delta = deltas[t]
-        step_train = _step_train_set(delta, train_sets, t)
+        step_train = _step_train_set(deltas[t], train_sets, t)
         train_mask |= step_train
-        rng = _step_rng(cfg, t)
-
-        if model == "continual":
-            if params is None:
-                g_probe = state.apply_delta(delta)
-                params = _init_params(cfg, g_probe.feature_dim,
-                                      g_probe.class_count(), t)
-            params, mem, state, report = continual_step(
-                params, mem, state, delta, cfg, rng, train_nodes=train_mask)
-        else:
-            g_t = state.apply_delta(delta)
-            if model in ("single", "retrained"):
-                params = _init_params(cfg, g_t.feature_dim,
-                                      g_t.class_count(), t)
-            elif params is None:
-                params = _init_params(cfg, g_t.feature_dim,
-                                      g_t.class_count(), t)
-            elif model == "online" and g_t.class_count() > params.out_dim:
-                params = params.expand_classes(g_t.class_count())
-
-            influenced = set()
-            det_seconds = 0.0
-            if model == "retrained":
-                train_ids = sorted(v for v in train_mask
-                                   if g_t.label(v) is not None)
-            elif model == "pretrained":
-                train_ids = sorted(step_train) if t == 0 else []
-            elif model == "online" and cfg.online_scope == "detector":
-                influenced, det_seconds = detect_influenced(
-                    params, state, g_t, delta, cfg)
-                train_ids = sorted(v for v in influenced
-                                   if g_t.label(v) is not None
-                                   and v in train_mask)
-            else:
-                train_ids = sorted(step_train)
-
-            fresh = [(g_t, v, g_t.label(v)) for v in train_ids]
-            params, losses, parts, seconds = _train_epochs(
-                params, fresh, [], None, cfg, rng, t)
-            state = g_t
-            report = StepReport(step=t, model=model,
-                                changed=len(delta.changed_nodes()),
-                                influenced=len(influenced),
-                                trained=len(fresh), per_epoch_loss=losses,
-                                loss_parts=parts, epoch_seconds=seconds,
-                                detection_seconds=det_seconds)
-
+        params, mem, state, report = _step(
+            model, params, mem, state, deltas[t], cfg, _step_rng(cfg, t),
+            train_mask, step_train)
         if checkpoint_dir:
             report.checkpoint_path = _checkpoint(
-                params, mem if model == "continual" else None,
-                checkpoint_dir, t)
+                params, mem if mode.replay else None, checkpoint_dir, t)
         reports.append(report)
         if eval_hook is not None:
             eval_hook(t, state, params, report)

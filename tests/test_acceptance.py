@@ -13,16 +13,17 @@ import time
 import numpy as np
 import pytest
 
-from cgnn.detect import propagate_f, score_approx, score_bfs, score_naive
+from cgnn.detect import score_approx, score_bfs, score_naive
 from cgnn.graph import GraphState, SnapshotDelta, l_hop_set
 from cgnn.harness import evaluate, make_splits, run_scalability, ExperimentSpec
 from cgnn.memory import ReplayMemory, update_memory
 from cgnn.metrics import accuracy, macro_f1
-from cgnn.model import GnnParams, grad_check
+from cgnn.model import GnnParams
 from cgnn.synth import SynthConfig, generate
 from cgnn.train import TrainConfig, run_stream
 
 from conftest import make_graph
+from helpers import grad_check, propagate_f
 
 SEEDS = (0, 1, 2, 3, 4)
 

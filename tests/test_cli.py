@@ -122,6 +122,13 @@ def test_threshold_flags_set_mode_and_value():
     assert spec.cfg.threshold_value == 0.25
 
 
+def test_conflicting_threshold_flags_are_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["run", "--threshold-ratio", "0.5", "--threshold-abs", "0.1"])
+    assert err.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
 def test_run_on_generated_files(tmp_path, capsys):
     stream = str(tmp_path / "stream")
     main(["synthgen", "--out", stream, "--seed", "2", "--steps", "2",

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from cgnn.detect import (ThresholdRule, propagate_f,
-                         score_approx, score_bfs, score_naive,
-                         select_influenced, surrogate_weights)
+from cgnn.detect import (ThresholdRule, score_approx, score_bfs,
+                         score_naive, select_influenced, surrogate_weights)
 from cgnn.graph import GraphState, SnapshotDelta, l_hop_set
-from cgnn.model import GnnParams, forward
+from cgnn.model import GnnParams
 
 from conftest import make_graph, random_stream
+from helpers import forward, propagate_f
 
 
 def apply_step(rng, g, new=2, edges=3):

@@ -5,8 +5,8 @@ aside. These SHA-256 digests pin that output on a small synthetic stream for
 all five models and the main configuration variants, for the ablation and
 scaling reports, and for the case study's embedding dumps. A refactor must
 leave every digest unchanged. A change that alters behaviour on purpose
-regenerates them (run this file with DIGEST_PRINT=1 to print the new
-values) and says so in CHANGES.md.
+regenerates them (run this file with DIGEST_PRINT=1 and pytest's -s to
+print the new values) and says so in CHANGES.md.
 """
 
 import glob

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cgnn.graph import (GraphError, GraphState, SnapshotDelta, deltas_equal,
-                        freeze_ego, l_hop_set, load_stream, replay,
-                        write_stream)
+from cgnn.graph import (GraphError, GraphState, SnapshotDelta, freeze_ego,
+                        l_hop_set, load_stream, replay, write_stream)
 
 from conftest import make_graph, random_stream
+from helpers import deltas_equal
 
 
 def small_graph():
@@ -272,6 +274,74 @@ def test_loader_tolerates_duplicate_edge_lines(tmp_path):
                          str(tmp_path / "features.txt"),
                          str(tmp_path / "labels.txt"))
     assert deltas[0].edge_adds == ((0, 1),)
+
+
+def test_loader_keeps_an_edge_removed_and_added_again(tmp_path):
+    (tmp_path / "edges.txt").write_text("0 1 0\n0 1 1 -\n0 1 2\n0 1 3 -\n")
+    (tmp_path / "features.txt").write_text("0.1 0.2\n0.3 0.4\n")
+    (tmp_path / "labels.txt").write_text("0 0 0\n1 1 0\n")
+    deltas = load_stream(str(tmp_path / "edges.txt"),
+                         str(tmp_path / "features.txt"),
+                         str(tmp_path / "labels.txt"))
+    assert len(deltas) == 4
+    assert [d.edge_adds for d in deltas] == [((0, 1),), (), ((0, 1),), ()]
+    assert [d.edge_removes for d in deltas] == [(), ((0, 1),), (), ((0, 1),)]
+    assert replay(deltas[:3], 2).has_edge(0, 1)
+    assert not replay(deltas, 2).has_edge(0, 1)
+
+
+def test_loader_drops_an_add_of_a_present_edge(tmp_path):
+    # listed again at a later step, in any line order, without a removal
+    (tmp_path / "edges.txt").write_text("0 1 2\n0 1 0\n1 0 0\n")
+    (tmp_path / "features.txt").write_text("0.1 0.2\n0.3 0.4\n")
+    (tmp_path / "labels.txt").write_text("0 0 0\n1 1 0\n")
+    deltas = load_stream(str(tmp_path / "edges.txt"),
+                         str(tmp_path / "features.txt"),
+                         str(tmp_path / "labels.txt"))
+    assert [d.edge_adds for d in deltas] == [((0, 1),), (), ()]
+    assert replay(deltas, 2).has_edge(0, 1)
+
+
+@st.composite
+def edge_histories(draw):
+    """Delta sequences whose edges get added, removed and added again."""
+    deltas = []
+    n = 0
+    present = set()
+    for t in range(draw(st.integers(1, 6))):
+        count = draw(st.integers(0 if t else 1, 3))
+        new_nodes = tuple(
+            (n + j,
+             np.array(draw(st.lists(st.integers(0, 1000), min_size=2,
+                                    max_size=2))) / 1000.0,
+             draw(st.none() | st.integers(0, 2)))
+            for j in range(count))
+        n += count
+        pairs = set()
+        if n >= 2:
+            pairs = set(draw(st.lists(
+                st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                .filter(lambda p: p[0] != p[1])
+                .map(lambda p: (min(p), max(p))),
+                max_size=6)))
+        adds = tuple(sorted(pairs - present))
+        removes = tuple(sorted(pairs & present))
+        present = (present | set(adds)) - set(removes)
+        deltas.append(SnapshotDelta(time=t, new_nodes=new_nodes,
+                                    edge_adds=adds, edge_removes=removes))
+    return deltas
+
+
+@settings(max_examples=60, deadline=None)
+@given(edge_histories())
+def test_stream_files_round_trip_any_edge_history(tmp_path_factory, deltas):
+    out = str(tmp_path_factory.mktemp("stream"))
+    paths = write_stream(deltas, out)
+    loaded = load_stream(paths["edges"], paths["features"], paths["labels"],
+                         paths["schedule"])
+    assert len(loaded) == len(deltas)
+    for a, b in zip(deltas, loaded):
+        assert deltas_equal(a, b)
 
 
 def test_schedule_overrides_label_steps(tmp_path):

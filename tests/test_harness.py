@@ -169,6 +169,13 @@ def test_case_study_writes_embeddings(tmp_path):
     assert len(cohort_rows) == 4  # step-0 cohort tracked at every step
 
 
+def test_case_study_creates_its_output_directory(tmp_path):
+    out = tmp_path / "case" / "study"
+    run_case_study(tiny_spec(out))
+    assert (out / "embeddings_step0.csv").exists()
+    assert (out / "metrics.csv").exists()
+
+
 def test_ablation_lambda_axis(tmp_path):
     spec = tiny_spec(tmp_path)
     rows = run_ablation(spec, "lambda", values=[0.0, 10.0])

@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from cgnn.graph import GraphState, SnapshotDelta
-from cgnn.model import (GnnParams, ModelError, embed_batch, forward,
-                        forward_batch, grad_check, load_params,
-                        loss_and_grad, loss_only, predict, predict_batch,
-                        save_params, sgd_step, softmax)
+from cgnn.model import (GnnParams, ModelError, forward_batch, load_params,
+                        loss_and_grad, loss_only, predict_batch, save_params,
+                        sgd_step, softmax)
 
 from conftest import make_graph
+from helpers import forward, grad_check, predict
 
 
 def line_graph(n, dim, rng):
@@ -277,7 +277,7 @@ def test_expand_classes_keeps_old_logits(rng):
         p.expand_classes(1)
 
 
-def test_embed_batch_is_last_hidden_layer(rng):
+def test_forward_upto_is_last_hidden_layer(rng):
     g, _ = make_graph(rng, 10, 0.3, 3)
     p = GnnParams.init(3, 6, 2, layers=2, rng=rng)
     n = g.n
@@ -286,9 +286,15 @@ def test_embed_batch_is_last_hidden_layer(rng):
         group = sorted(set(g.neighbors(v)) | {v})
         P[v, group] = 1.0 / len(group)
     H1 = np.maximum(P @ g.feature_matrix() @ p.weights[0][:-1] + p.weights[0][-1], 0.0)
-    got = embed_batch(p, [(g, v) for v in range(n)])
+    got, plan = forward_batch(p, [(g, v) for v in range(n)], upto=1)
     assert np.allclose(got, H1, rtol=1e-12, atol=1e-12)
+    assert len(plan.mats) == 2  # a one-layer plan
+    # a prepared plan of the wrong depth is refused
+    with pytest.raises(ModelError):
+        forward_batch(p, [(g, v) for v in range(n)], plan=plan)
+    with pytest.raises(ModelError):
+        forward_batch(p, [(g, 0)], upto=3)
     # one layer: embedding is the raw feature row
     p1 = GnnParams.init(3, 6, 2, layers=1, rng=rng)
-    got1 = embed_batch(p1, [(g, 4)])
+    got1, _ = forward_batch(p1, [(g, 4)], upto=0)
     assert np.array_equal(got1[0], g.feature_row(4))

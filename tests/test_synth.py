@@ -3,9 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from cgnn.graph import deltas_equal, load_stream, replay
+from cgnn.graph import load_stream, replay
 from cgnn.synth import (SynthConfig, build_stream, gen_step_attributes,
                         gen_step_structure, generate)
+
+from helpers import deltas_equal
 
 
 def test_default_totals():

@@ -1,8 +1,11 @@
+import os
+
 import numpy as np
 import pytest
 
+import cgnn.train as train
 from cgnn.graph import GraphState, SnapshotDelta
-from cgnn.memory import ReplayMemory
+from cgnn.memory import ReplayMemory, load_memory
 from cgnn.model import load_params
 from cgnn.train import (MODELS, TrainConfig, continual_step,
                         detect_influenced, run_stream)
@@ -167,7 +170,6 @@ def test_checkpoint_continuation_is_exact(tmp_path, rng):
     p_full, m_full, rep_full = run_stream("continual", deltas, cfg, 4,
                                           checkpoint_dir=ckdir)
     # resume from after step 1
-    from cgnn.memory import load_memory
     params1 = load_params(rep_full[1].checkpoint_path)
     mem1 = load_memory(str(tmp_path / "ck" / "step1.mem"))
     p_cont, m_cont, rep_cont = run_stream(
@@ -179,6 +181,37 @@ def test_checkpoint_continuation_is_exact(tmp_path, rng):
         assert ra.step == rb.step
         assert ra.per_epoch_loss == rb.per_epoch_loss
         assert ra.trained == rb.trained
+
+
+def test_failed_checkpoint_leaves_earlier_files_intact(tmp_path, rng,
+                                                      monkeypatch):
+    deltas = random_stream(rng, 1, 10, 0.3, 4)
+    params, mem, _ = run_stream("continual", deltas, small_cfg(), 4)
+    path = train._checkpoint(params, mem, str(tmp_path), 0)
+
+    def contents():
+        return {f: (tmp_path / f).read_bytes() for f in os.listdir(tmp_path)}
+
+    def broken_save(obj, fh):
+        fh.write(b"partial")
+        raise OSError("disk full")
+
+    before = contents()
+    assert sorted(before) == ["step0.ckpt", "step0.mem"]
+    monkeypatch.setattr(train, "save_memory", broken_save)
+    for step in (0, 1):  # over an earlier checkpoint, then a new step
+        with pytest.raises(OSError):
+            train._checkpoint(params, mem, str(tmp_path), step)
+    after = contents()
+    # no partial or temporary file; the earlier memory dump is intact
+    assert sorted(after) == ["step0.ckpt", "step0.mem", "step1.ckpt"]
+    assert after["step0.mem"] == before["step0.mem"]
+    monkeypatch.setattr(train, "save_params", broken_save)
+    with pytest.raises(OSError):
+        train._checkpoint(params, mem, str(tmp_path), 2)
+    assert contents() == after
+    assert params_equal(load_params(path), params)
+    assert load_memory(str(tmp_path / "step0.mem")).seen == mem.seen
 
 
 def test_continuation_requires_params():
