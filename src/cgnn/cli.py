@@ -15,8 +15,6 @@ from .harness import (ABLATION_AXES, SCALE_AXES, ExperimentSpec,
 from .synth import SynthConfig, build_stream
 from .train import MODELS, TrainConfig
 
-_SPEC_KEYS = ("model", "data_dir", "out_dir", "split", "accumulate_test",
-              "cohort_steps", "checkpoints")
 _ALIAS = {"lambda": "lam", "data": "data_dir", "out": "out_dir",
           "cohorts": "cohort_steps"}
 
@@ -55,11 +53,19 @@ def _field_types(cls):
             for f in dataclasses.fields(cls)}
 
 
+def _spec_types():
+    """ExperimentSpec's keys; cfg and synth are built from the others."""
+    types = _field_types(ExperimentSpec)
+    del types["cfg"], types["synth"]
+    return types
+
+
 def build_objects(conf):
     """Split a flat config dict into TrainConfig, SynthConfig and spec args."""
     conf = {_ALIAS.get(k, k): v for k, v in conf.items()}
     train_types = _field_types(TrainConfig)
     synth_types = _field_types(SynthConfig)
+    spec_types = _spec_types()
 
     train_kwargs = {}
     synth_kwargs = {}
@@ -74,12 +80,9 @@ def build_objects(conf):
         elif key in train_types:
             train_kwargs[key] = (value if not isinstance(value, str)
                                  else _coerce(value, train_types[key]))
-        elif key in _SPEC_KEYS:
-            target = {"split": float, "accumulate_test": bool,
-                      "checkpoints": bool, "cohort_steps": tuple,
-                      "model": str, "data_dir": str, "out_dir": str}[key]
+        elif key in spec_types:
             spec_kwargs[key] = (value if not isinstance(value, str)
-                                else _coerce(value, target))
+                                else _coerce(value, spec_types[key]))
         else:
             raise ValueError("unknown config key %r" % key)
 
@@ -131,19 +134,13 @@ def _gather(args):
             raise ValueError("--set needs KEY=VALUE, got %r" % item)
         key, value = item.split("=", 1)
         conf[key.strip()] = value.strip()
-    direct = {
-        "data_dir": args.data, "out_dir": args.out, "model": args.model,
-        "seed": args.seed, "split": args.split, "epochs": args.epochs,
-        "lr": args.lr, "fanout": args.fanout, "detector": args.detector,
-        "memory_size": args.memory_size,
-        "memory_strategy": args.memory_strategy, "alpha": args.alpha,
-        "lam": args.lam, "regularizer": args.regularizer,
-        "accumulate_test": args.accumulate_test,
-        "checkpoints": args.checkpoints, "cohort_steps": args.cohorts,
-    }
-    for key, value in direct.items():
-        if value is not None:
-            conf[key] = value if isinstance(value, str) else repr(value)
+    # canonical names, so that a flag replaces an aliased --set or file key
+    conf = {_ALIAS.get(k, k): v for k, v in conf.items()}
+    keys = set(_field_types(TrainConfig)) | set(_spec_types())
+    for key, value in vars(args).items():
+        key = _ALIAS.get(key, key)
+        if value is not None and key in keys:
+            conf[key] = value
     if args.threshold_ratio is not None:
         conf["threshold_mode"] = "ratio"
         conf["threshold_value"] = repr(args.threshold_ratio)

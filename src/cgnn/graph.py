@@ -56,10 +56,6 @@ class SnapshotDelta:
             out.add(nid)
         return out
 
-    def is_empty(self):
-        return not (self.new_nodes or self.edge_adds or self.edge_removes
-                    or self.attr_changes)
-
 
 def _check_feature_row(row, dim, what):
     row = np.asarray(row, dtype=np.float64)
@@ -108,9 +104,6 @@ class GraphState:
     def degree(self, v):
         return len(self._adj[v])
 
-    def edge_count(self):
-        return sum(len(a) for a in self._adj) // 2
-
     def has_edge(self, u, v):
         return v in self._adj[u]
 
@@ -127,9 +120,6 @@ class GraphState:
     def labels_array(self):
         """Label per node, -1 where unlabeled."""
         return self._labels
-
-    def labeled_nodes(self):
-        return [int(v) for v in np.nonzero(self._labels >= 0)[0]]
 
     def class_count(self):
         return int(self._labels.max()) + 1 if (self._labels >= 0).any() else 0
@@ -231,30 +221,24 @@ class EgoNet:
 
     Carries its own copies of adjacency rows and feature rows, so later
     stream updates cannot change what a replay entry trains on. Exposes the
-    same read interface the live snapshot does.
+    live snapshot's neighbors and feature_row reads, which a forward pass
+    needs.
     """
 
-    __slots__ = ("center", "depth", "nodes", "center_label", "_adj", "_feat")
+    __slots__ = ("center", "depth", "nodes", "_adj", "_feat")
 
-    def __init__(self, center, depth, nodes, center_label, adj, feat):
+    def __init__(self, center, depth, nodes, adj, feat):
         self.center = center
         self.depth = depth
         self.nodes = nodes
-        self.center_label = center_label
         self._adj = adj
         self._feat = feat
 
     def neighbors(self, v):
         return self._adj[v]
 
-    def degree(self, v):
-        return len(self._adj[v])
-
     def feature_row(self, v):
         return self._feat[v]
-
-    def label(self, v):
-        return self.center_label if v == self.center else None
 
 
 def freeze_ego(view, center, depth):
@@ -271,8 +255,7 @@ def freeze_ego(view, center, depth):
         row = np.array(view.feature_row(v), dtype=np.float64)
         row.setflags(write=False)
         feat[v] = row
-    return EgoNet(center, depth, tuple(sorted(members)), view.label(center),
-                  adj, feat)
+    return EgoNet(center, depth, tuple(sorted(members)), adj, feat)
 
 
 # ---------------------------------------------------------------------------
@@ -284,139 +267,123 @@ def freeze_ego(view, center, depth):
 #                step is the node's arrival step
 # schedule file: "step node_count" per line; when present it assigns arrival
 #                steps to nodes in id order and overrides the labels file
+# Node ids arrive in non-negative, non-decreasing steps.
 # ---------------------------------------------------------------------------
 
 def _parse_error(path, lineno, msg):
     return GraphError("%s:%d: %s" % (os.path.basename(path), lineno, msg))
 
 
-def load_stream(edges_path, features_path, labels_path, schedule_path=None):
-    """Parse stream files into the delta sequence that replays the graph."""
-    features = []
-    dim = None
-    with open(features_path) as fh:
+def _records(path, arity, usage, conv):
+    """Yield (line number, conv(fields)) for each non-blank line of a file.
+
+    arity holds the allowed field counts; None asks every line for as many
+    fields as the first. A wrong count, or a ValueError from conv, raises a
+    GraphError that names the file and line.
+    """
+    with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
             parts = line.split()
             if not parts:
                 continue
+            arity = arity or (len(parts),)
             try:
-                row = np.array([float(x) for x in parts], dtype=np.float64)
-            except ValueError:
-                raise _parse_error(features_path, lineno, "bad feature value")
-            if dim is None:
-                dim = row.shape[0]
-            elif row.shape[0] != dim:
-                raise _parse_error(features_path, lineno,
-                                   "feature dimension mismatch")
-            features.append(row)
+                if len(parts) not in arity:
+                    raise ValueError("expected %s" % usage)
+                record = conv(parts)
+            except ValueError as exc:
+                raise _parse_error(path, lineno, exc) from None
+            yield lineno, record
+
+
+def _ints(parts):
+    return [int(x) for x in parts]
+
+
+def _edge_fields(parts):
+    removal = len(parts) == 4
+    if removal and parts[3] != "-":
+        raise ValueError("a fourth field must be '-'")
+    return int(parts[0]), int(parts[1]), int(parts[2]), removal
+
+
+_ORDER = "arrival steps must be non-negative and non-decreasing in node id"
+
+
+def load_stream(edges_path, features_path, labels_path, schedule_path=None):
+    """Parse stream files into the delta sequence that replays the graph."""
+    features = [row for _, row in _records(
+        features_path, None, "as many values as the first row",
+        lambda parts: np.array([float(x) for x in parts]))]
     n = len(features)
 
     labels = {}
-    with open(labels_path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            parts = line.split()
-            if not parts:
-                continue
-            if len(parts) != 3:
-                raise _parse_error(labels_path, lineno,
-                                   "expected 'node_id label step'")
-            try:
-                nid, lab, step = int(parts[0]), int(parts[1]), int(parts[2])
-            except ValueError:
-                raise _parse_error(labels_path, lineno, "bad integer field")
-            if nid in labels:
-                raise _parse_error(labels_path, lineno,
-                                   "node %d listed twice" % nid)
-            labels[nid] = (lab, step)
-    missing = [v for v in range(n) if v not in labels]
-    if missing:
+    for lineno, (nid, lab, step) in _records(
+            labels_path, (3,), "'node_id label step'", _ints):
+        if not 0 <= nid < n:
+            raise _parse_error(labels_path, lineno,
+                               "node %d has no feature row" % nid)
+        if nid in labels:
+            raise _parse_error(labels_path, lineno,
+                               "node %d listed twice" % nid)
+        labels[nid] = (lab, step, lineno)
+    if len(labels) < n:
         raise GraphError("labels file covers %d of %d nodes (first missing: %d)"
-                         % (len(labels), n, missing[0]))
+                         % (len(labels), n, min(set(range(n)) - set(labels))))
 
     steps = 0
     if schedule_path is not None and os.path.exists(schedule_path):
-        arrival = np.zeros(n, dtype=np.int64)
-        cursor = 0
-        with open(schedule_path) as fh:
-            for lineno, line in enumerate(fh, 1):
-                parts = line.split()
-                if not parts:
-                    continue
-                if len(parts) != 2:
-                    raise _parse_error(schedule_path, lineno,
-                                       "expected 'step node_count'")
-                step, count = int(parts[0]), int(parts[1])
-                if count < 0:
-                    raise _parse_error(schedule_path, lineno, "negative count")
-                if cursor + count > n:
-                    raise _parse_error(schedule_path, lineno,
-                                       "schedule assigns more nodes than exist")
-                arrival[cursor:cursor + count] = step
-                cursor += count
-                steps = max(steps, step + 1)  # a step may bring no nodes
-        if cursor != n:
-            raise GraphError("schedule covers %d of %d nodes" % (cursor, n))
+        arrival = []
+        for lineno, (step, count) in _records(
+                schedule_path, (2,), "'step node_count'", _ints):
+            if step < max(steps - 1, 0):
+                raise _parse_error(schedule_path, lineno,
+                                   "step %d: %s" % (step, _ORDER))
+            if count < 0:
+                raise _parse_error(schedule_path, lineno, "negative count")
+            if len(arrival) + count > n:
+                raise _parse_error(schedule_path, lineno,
+                                   "schedule assigns more nodes than exist")
+            arrival += [step] * count
+            steps = step + 1  # a step may bring no nodes
+        if len(arrival) != n:
+            raise GraphError("schedule covers %d of %d nodes"
+                             % (len(arrival), n))
     else:
-        arrival = np.array([labels[v][1] for v in range(n)], dtype=np.int64)
+        arrival = [labels[v][1] for v in range(n)]
+        early = np.flatnonzero(np.diff(arrival, prepend=0) < 0)
+        if early.size:
+            v = int(early[0])
+            raise _parse_error(labels_path, labels[v][2], "node %d at step %d: %s"
+                               % (v, arrival[v], _ORDER))
 
     # An add of an edge that is already present, from an earlier step or
     # an earlier line, is dropped when the deltas are assembled in step
     # order; a removal makes the edge absent again.
     edge_adds = {}
     edge_removes = {}
-    with open(edges_path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            parts = line.split()
-            if not parts:
-                continue
-            if len(parts) not in (3, 4) or (len(parts) == 4 and parts[3] != "-"):
-                raise _parse_error(edges_path, lineno,
-                                   "expected 'u v t' or 'u v t -'")
-            try:
-                u, v, t = int(parts[0]), int(parts[1]), int(parts[2])
-            except ValueError:
-                raise _parse_error(edges_path, lineno, "bad integer field")
-            if u == v:
-                raise _parse_error(edges_path, lineno, "self loop")
-            if not (0 <= u < n and 0 <= v < n):
-                raise _parse_error(edges_path, lineno, "unknown node id")
-            if arrival[u] > t or arrival[v] > t:
-                raise _parse_error(edges_path, lineno,
-                                   "edge references a node arriving after step %d" % t)
-            key = (min(u, v), max(u, v))
-            if len(parts) == 4:
-                edge_removes.setdefault(t, []).append(key)
-            else:
-                edge_adds.setdefault(t, []).append(key)
+    for lineno, (u, v, t, removal) in _records(
+            edges_path, (3, 4), "'u v t' or 'u v t -'", _edge_fields):
+        if u == v:
+            raise _parse_error(edges_path, lineno, "self loop")
+        if not (0 <= u < n and 0 <= v < n):
+            raise _parse_error(edges_path, lineno, "unknown node id")
+        if arrival[u] > t or arrival[v] > t:
+            raise _parse_error(edges_path, lineno,
+                               "edge references a node arriving after step %d" % t)
+        (edge_removes if removal else edge_adds).setdefault(t, []).append(
+            (min(u, v), max(u, v)))
 
-    if n:
-        steps = max(steps, int(arrival.max()) + 1)
-    for t in list(edge_adds) + list(edge_removes):
-        steps = max(steps, t + 1)
-
-    order = np.argsort(arrival, kind="stable")
-    by_step = {}
-    for v in order:
-        by_step.setdefault(int(arrival[v]), []).append(int(v))
-    for t, ids in by_step.items():
-        expected = ids[0]
-        for v in ids:
-            if v != expected:
-                raise GraphError("arrival steps break contiguous node ids near %d" % v)
-            expected += 1
+    steps = max([steps, *(t + 1 for t in
+                          [*arrival[-1:], *edge_adds, *edge_removes])])
+    starts = np.searchsorted(arrival, np.arange(steps + 1)).tolist()
 
     deltas = []
-    next_id = 0
     present = set()
     for t in range(steps):
-        ids = by_step.get(t, [])
-        if ids and ids[0] != next_id:
-            raise GraphError("step %d starts at node %d, expected %d"
-                             % (t, ids[0], next_id))
-        next_id += len(ids)
         new_nodes = tuple((v, features[v],
                            None if labels[v][0] < 0 else labels[v][0])
-                          for v in ids)
+                          for v in range(starts[t], starts[t + 1]))
         adds = []
         for key in edge_adds.get(t, []):
             if key not in present:

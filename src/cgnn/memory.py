@@ -252,6 +252,6 @@ def load_memory(path):
                 row = feat_rows[i].copy()
                 row.setflags(write=False)
                 feat[v] = row
-            ego = EgoNet(center, depth, nodes, label, adj, feat)
+            ego = EgoNet(center, depth, nodes, adj, feat)
             mem.entries[label].append(MemoryEntry(ego, label, step))
     return mem

@@ -101,89 +101,68 @@ def zero_grads(params):
     return [np.zeros_like(w) for w in params.weights]
 
 
-def _build_plan(L, pairs, fanout, rng):
-    """Layered sampling plan over (view, node) pairs.
-
-    Member lists are sorted by node id before aggregation, so the output does
-    not depend on the order a view reports neighbors in.
-    """
-    views = {id(view): view for view, _node in pairs}
-    keyed = [(id(view), node) for view, node in pairs]
-    keys = [None] * (L + 1)
-    samples = [None] * (L + 1)
-    keys[L] = list(dict.fromkeys(keyed))
-    for l in range(L, 0, -1):
-        members = {}
-        for key in keys[l]:
-            vid, u = key
-            nbrs = views[vid].neighbors(u)
-            if fanout is None or len(nbrs) <= fanout:
-                chosen = list(nbrs)
-            else:
-                take = rng.permutation(len(nbrs))[:fanout]
-                chosen = [nbrs[i] for i in take]
-            chosen.append(u)
-            members[key] = sorted(set(chosen))
-        samples[l] = members
-        keys[l - 1] = list(dict.fromkeys(
-            (key[0], w) for key, chosen in members.items() for w in chosen))
-    return views, keyed, keys, samples
-
-
-def _aggregation_matrix(keys_l, samples_l, pos_prev):
-    rows = []
-    cols = []
-    vals = []
-    for i, key in enumerate(keys_l):
-        vid = key[0]
-        members = samples_l[key]
-        w = 1.0 / len(members)
-        for m in members:
-            rows.append(i)
-            cols.append(pos_prev[(vid, m)])
-            vals.append(w)
-    return sparse.csr_matrix(
-        (vals, (rows, cols)), shape=(len(keys_l), len(pos_prev)))
-
-
 class BatchPlan:
     """Frozen sampling plan for repeated passes over one batch.
 
-    Everything parameter-independent is precomputed: sampled member lists,
-    per-layer aggregation matrices, the input feature block and the output
-    row order. Build once per training step, then run any number of
-    forward/backward passes against changing parameters.
+    Everything parameter-independent is precomputed: the (view id, node)
+    keys of each level, per-layer aggregation matrices, the input feature
+    block and the output row order. Build once per training step, then run
+    any number of forward/backward passes against changing parameters.
     """
 
-    __slots__ = ("keys", "samples", "mats", "inputs", "row_of")
+    __slots__ = ("keys", "mats", "inputs", "row_of")
 
-    def __init__(self, keys, samples, mats, inputs, row_of):
+    def __init__(self, keys, mats, inputs, row_of):
         self.keys = keys
-        self.samples = samples
         self.mats = mats
         self.inputs = inputs
         self.row_of = row_of
 
 
 def prepare_batch(layer_count, pairs, fanout=None, rng=None):
-    """Sample neighborhoods for a batch once and freeze them as a BatchPlan."""
+    """Sample neighborhoods for a batch once and freeze them as a BatchPlan.
+
+    keys[l] lists the distinct (view id, node) keys layer l computes, in
+    first-seen order; keys[0] are the feature rows. Row i of mats[l] averages
+    key i's members, itself plus its sampled neighbors, over the rows of
+    level l - 1. Members are visited by node id, so the output does not
+    depend on the order a view reports neighbors in, and each row's columns
+    are stored sorted, the order the sparse product sums in.
+    """
     if fanout is not None and rng is None:
         raise ModelError("sampled forward needs an rng")
     if not pairs:
         raise ModelError("empty batch")
-    views, keyed, keys, samples = _build_plan(layer_count, pairs, fanout, rng)
-    pos_prev = {key: i for i, key in enumerate(keys[0])}
-    first = keys[0][0]
-    dim = len(views[first[0]].feature_row(first[1]))
-    inputs = np.empty((len(keys[0]), dim), dtype=np.float64)
-    for key, i in pos_prev.items():
-        inputs[i] = views[key[0]].feature_row(key[1])
+    views = {id(view): view for view, _node in pairs}
+    keyed = [(id(view), node) for view, node in pairs]
+    level = {}
+    row_of = [level.setdefault(key, len(level)) for key in keyed]
+    keys = [None] * (layer_count + 1)
     mats = [None] * (layer_count + 1)
-    for l in range(1, layer_count + 1):
-        mats[l] = _aggregation_matrix(keys[l], samples[l], pos_prev)
-        pos_prev = {key: i for i, key in enumerate(keys[l])}
-    row_of = [pos_prev[key] for key in keyed]
-    return BatchPlan(keys, samples, mats, inputs, row_of)
+    for l in range(layer_count, 0, -1):
+        keys[l] = list(level)
+        below = {}
+        counts = []
+        cols = []
+        for vid, u in keys[l]:
+            nbrs = views[vid].neighbors(u)
+            if fanout is not None and len(nbrs) > fanout:
+                nbrs = [nbrs[i] for i in rng.permutation(len(nbrs))[:fanout]]
+            members = sorted({u, *nbrs})
+            counts.append(len(members))
+            cols.extend(below.setdefault((vid, m), len(below))
+                        for m in members)
+        counts = np.array(counts)
+        mats[l] = sparse.csr_matrix(
+            (np.repeat(1.0 / counts, counts), cols,
+             np.concatenate(([0], np.cumsum(counts)))),
+            shape=(len(counts), len(below)))
+        mats[l].sort_indices()
+        level = below
+    keys[0] = list(level)
+    inputs = np.array([views[vid].feature_row(u) for vid, u in keys[0]],
+                      dtype=np.float64)
+    return BatchPlan(keys, mats, inputs, row_of)
 
 
 def _layers(params, plan):

@@ -53,7 +53,6 @@ class TrainConfig:
     detector: str = "approx"
     threshold_mode: str = "ratio"
     threshold_value: float = 0.8
-    include_self_propagation: bool = False
     memory_size: int = 250
     memory_strategy: str = "stepwise"
     alpha: float = 1.0
@@ -121,8 +120,7 @@ def detect_influenced(params, g_prev, g_t, delta, cfg):
     elif cfg.detector == "bfs":
         raw = score_bfs(params, g_prev, g_t, delta, depth)
     else:
-        raw = score_approx(params, g_prev, g_t, delta, depth,
-                           cfg.include_self_propagation)
+        raw = score_approx(params, g_prev, g_t, delta, depth)
     rule = ThresholdRule(cfg.threshold_mode, cfg.threshold_value)
     pool_scores = {u: raw.get(u, 0.0) for u in sorted(pool)}
     influenced = select_influenced(pool_scores, rule) | new_ids

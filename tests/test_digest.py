@@ -18,7 +18,7 @@ import pytest
 
 from cgnn.harness import (TIMING_COLUMNS, ExperimentSpec, run_ablation,
                           run_case_study, run_experiment, run_scalability)
-from cgnn.synth import SynthConfig
+from cgnn.synth import SynthConfig, build_stream
 from cgnn.train import TrainConfig
 
 SYNTH = SynthConfig(steps=8, per_step=48, structure_shift_step=3,
@@ -99,6 +99,16 @@ def test_run_digest(tmp_path, name):
     model, overrides = RUNS[name]
     run_experiment(_spec(tmp_path, model, **overrides))
     _check(name, _csv_digest(tmp_path / "metrics.csv"))
+
+
+@pytest.mark.parametrize("model", ["continual", "retrained"])
+def test_file_stream_digest(tmp_path, model):
+    """The stream written to files and read back gives the same output."""
+    build_stream(SYNTH, str(tmp_path / "stream"))
+    run_experiment(ExperimentSpec(cfg=TrainConfig(), model=model,
+                                  data_dir=str(tmp_path / "stream"),
+                                  out_dir=str(tmp_path / "out")))
+    _check(model, _csv_digest(tmp_path / "out" / "metrics.csv"))
 
 
 def test_ablation_digest(tmp_path):

@@ -228,15 +228,23 @@ def test_predict_is_probability_vector(rng):
 def test_trace_reports_sampled_neighbors(rng):
     g, _ = make_graph(rng, 10, 0.6, 3)
     p = GnnParams.init(3, 4, 2, layers=2, rng=rng)
-    _, trace = forward(p, g, 0, fanout=2, rng=np.random.default_rng(0))
-    for l in (1, 2):
-        for key, members in trace.samples[l].items():
-            _vid, u = key
-            assert u in members                      # self always aggregated
-            assert len(members) <= 3                 # fanout + self
-            assert members == sorted(set(members))
-            for m in members:
-                assert m == u or m in g.neighbors(u)
+    for fanout in (2, None):
+        _, plan = forward(p, g, 0, fanout=fanout,
+                          rng=np.random.default_rng(0))
+        for l in (1, 2):
+            mat = plan.mats[l]
+            assert mat.has_sorted_indices
+            for i, (_vid, u) in enumerate(plan.keys[l]):
+                span = slice(mat.indptr[i], mat.indptr[i + 1])
+                members = [plan.keys[l - 1][j][1] for j in mat.indices[span]]
+                assert u in members                  # self always aggregated
+                assert len(set(members)) == len(members)
+                assert np.all(mat.data[span] == 1.0 / len(members))
+                if fanout is None:
+                    assert set(members) == {u, *g.neighbors(u)}
+                else:
+                    assert len(members) <= fanout + 1
+                    assert set(members) <= {u, *g.neighbors(u)}
 
 
 def test_rejects_bad_inputs(rng):
