@@ -12,8 +12,9 @@ import sys
 from .harness import (ABLATION_AXES, SCALE_AXES, ExperimentSpec,
                       run_ablation, run_case_study, run_experiment,
                       run_scalability)
+from .memory import STRATEGIES
 from .synth import SynthConfig, build_stream
-from .train import MODELS, TrainConfig
+from .train import DETECTORS, MODELS, REGULARIZERS, TrainConfig
 
 _ALIAS = {"lambda": "lam", "data": "data_dir", "out": "out_dir",
           "cohorts": "cohort_steps"}
@@ -92,8 +93,11 @@ def build_objects(conf):
         synth_kwargs.setdefault("seed", cfg.seed)
         synth = SynthConfig(**synth_kwargs)
     if "cohort_steps" in spec_kwargs:
-        spec_kwargs["cohort_steps"] = tuple(
-            int(x) for x in spec_kwargs["cohort_steps"])
+        steps = spec_kwargs["cohort_steps"]
+        if any(int(x) != x for x in steps):
+            raise ValueError("cohort_steps: arrival steps must be integers, "
+                             "got %r" % (steps,))
+        spec_kwargs["cohort_steps"] = tuple(int(x) for x in steps)
     return ExperimentSpec(cfg=cfg, synth=synth, **spec_kwargs)
 
 
@@ -109,7 +113,7 @@ def _add_common(p):
     p.add_argument("--epochs", type=int)
     p.add_argument("--lr", type=float)
     p.add_argument("--fanout", type=int)
-    p.add_argument("--detector", choices=("naive", "bfs", "approx"))
+    p.add_argument("--detector", choices=DETECTORS)
     threshold = p.add_mutually_exclusive_group()
     threshold.add_argument("--threshold-ratio", type=float,
                            dest="threshold_ratio")
@@ -117,10 +121,10 @@ def _add_common(p):
                            dest="threshold_abs")
     p.add_argument("--memory-size", type=int, dest="memory_size")
     p.add_argument("--memory-strategy", dest="memory_strategy",
-                   choices=("random", "hierarchical", "stepwise"))
+                   choices=STRATEGIES)
     p.add_argument("--alpha", type=float)
     p.add_argument("--lambda", type=float, dest="lam")
-    p.add_argument("--regularizer", choices=("none", "l2", "ewc"))
+    p.add_argument("--regularizer", choices=REGULARIZERS)
     p.add_argument("--accumulate-test", action="store_true", default=None,
                    dest="accumulate_test")
     p.add_argument("--checkpoints", action="store_true", default=None)

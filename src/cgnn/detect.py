@@ -67,18 +67,16 @@ def score_naive(params, g_old, g_new, candidates):
             for i, u in enumerate(ids)}
 
 
-def score_bfs(params, g_old, g_new, delta, depth=None):
+def score_bfs(params, g_old, g_new, delta):
     """Exact scores, restricted to nodes a change can actually reach.
 
-    Representation drift is zero outside the depth-hop ball around the
-    changed nodes, so only that ball is scored.
+    Representation drift is zero outside the layer_count-hop ball around
+    the changed nodes, so only that ball is scored.
     """
-    if depth is None:
-        depth = params.layer_count
     seeds = delta.changed_nodes()
     if not seeds:
         return {}
-    ball = l_hop_set(g_new, seeds, depth)
+    ball = l_hop_set(g_new, seeds, params.layer_count)
     return score_naive(params, g_old, g_new, ball)
 
 
@@ -119,7 +117,7 @@ def _propagation_run(view, seeds, depth, include_self):
     return region, F
 
 
-def score_approx(params, g_old, g_new, delta, depth=None, include_self=False):
+def score_approx(params, g_old, g_new, delta, include_self=False):
     """Linear-surrogate influence scores.
 
     Attribute-only deltas push each feature change through the weight
@@ -128,8 +126,6 @@ def score_approx(params, g_old, g_new, delta, depth=None, include_self=False):
     drift and spread that. Either way no full forward pass over the ball is
     needed.
     """
-    if depth is None:
-        depth = params.layer_count
     seeds = sorted(delta.changed_nodes())
     if not seeds:
         return {}
@@ -149,7 +145,8 @@ def score_approx(params, g_old, g_new, delta, depth=None, include_self=False):
                           for nid, new in sorted(delta.attr_changes)])
         change = np.linalg.norm(diffs @ wt, axis=1)
 
-    region, F = _propagation_run(g_new, seeds, depth, include_self)
+    region, F = _propagation_run(g_new, seeds, params.layer_count,
+                                 include_self)
     totals = F @ change
     return {u: float(totals[i]) for i, u in enumerate(region)}
 

@@ -21,7 +21,7 @@ class FisherDiag:
         self.anchor = anchor
 
 
-def estimate_fisher(params, mem, fanout=None, rng=None):
+def estimate_fisher(params, mem):
     """Empirical squared-gradient diagonal over the memory's entries.
 
     An empty memory yields all-zero importance, which makes the penalty
@@ -31,7 +31,7 @@ def estimate_fisher(params, mem, fanout=None, rng=None):
     values = zero_grads(params)
     entries = replay_batch(mem)
     for view, node, label in entries:
-        _, grads = loss_and_grad(params, [(view, node, label)], fanout, rng)
+        _, grads = loss_and_grad(params, [(view, node, label)])
         for acc, g in zip(values, grads):
             acc += g * g
     if entries:

@@ -21,6 +21,9 @@ class GraphError(ValueError):
 
 _FEATURE_TOL = 1e-9
 
+# Decimal places of the feature values in a features file.
+FEATURE_DECIMALS = 10
+
 # The stream file set, each stored as <name>.txt in one directory.
 STREAM_FILES = ("edges", "features", "labels", "schedule")
 
@@ -62,7 +65,8 @@ def _check_feature_row(row, dim, what):
     if row.ndim != 1 or (dim is not None and row.shape[0] != dim):
         raise GraphError("%s: feature dimension mismatch (got %r, want %r)"
                          % (what, row.shape, dim))
-    if row.size and (row.min() < -_FEATURE_TOL or row.max() > 1.0 + _FEATURE_TOL):
+    if row.size and not (row.min() >= -_FEATURE_TOL
+                         and row.max() <= 1.0 + _FEATURE_TOL):
         raise GraphError("%s: feature values outside [0, 1]" % what)
     return row
 
@@ -312,10 +316,18 @@ _ORDER = "arrival steps must be non-negative and non-decreasing in node id"
 
 def load_stream(edges_path, features_path, labels_path, schedule_path=None):
     """Parse stream files into the delta sequence that replays the graph."""
-    features = [row for _, row in _records(
+    records = list(_records(
         features_path, None, "as many values as the first row",
-        lambda parts: np.array([float(x) for x in parts]))]
+        lambda parts: np.array([float(x) for x in parts])))
+    features = [row for _, row in records]
     n = len(features)
+    if n:
+        stacked = np.array(features)
+        bad = np.flatnonzero(~((stacked >= -_FEATURE_TOL)
+                               & (stacked <= 1.0 + _FEATURE_TOL)).all(axis=1))
+        if bad.size:
+            raise _parse_error(features_path, records[bad[0]][0],
+                               "feature values outside [0, 1]")
 
     labels = {}
     for lineno, (nid, lab, step) in _records(
@@ -397,16 +409,16 @@ def load_stream(edges_path, features_path, labels_path, schedule_path=None):
     return deltas
 
 
-def write_stream(deltas, out_dir, feature_decimals=10):
+def write_stream(deltas, out_dir):
     """Emit the stream file set for a delta sequence. Inverse of load_stream.
 
-    Feature rows are written with a fixed decimal precision; callers that
-    need byte-exact round-trips must quantize features to that precision
-    before building the deltas. Attribute-change deltas have no file
-    representation and are rejected.
+    Feature rows are written with FEATURE_DECIMALS decimal places; callers
+    that need byte-exact round-trips must quantize features to that
+    precision before building the deltas. Attribute-change deltas have no
+    file representation and are rejected.
     """
     os.makedirs(out_dir, exist_ok=True)
-    fmt = "%%.%df" % feature_decimals
+    fmt = "%%.%df" % FEATURE_DECIMALS
 
     rows = []
     labels = []

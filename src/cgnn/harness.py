@@ -14,22 +14,26 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .graph import STREAM_FILES, load_stream
+from .memory import STRATEGIES
 from .metrics import accuracy, macro_f1
 from .model import forward_batch, predict_batch
 from .synth import SynthConfig, generate
-from .train import MODELS, TrainConfig, run_stream
+from .train import DETECTORS, MODELS, REGULARIZERS, TrainConfig, run_stream
 
 _SPLIT_TAG = 419
 
-# axis -> (the TrainConfig field it sets, or "view_combo"; default values)
+# axis -> (the TrainConfig field it sets; default values), or for
+# view_combo (None; the fields each value sets)
 _ABLATIONS = {
-    "detector": ("detector", ("naive", "bfs", "approx")),
-    "memory_strategy": ("memory_strategy",
-                        ("random", "hierarchical", "stepwise")),
+    "detector": ("detector", DETECTORS),
+    "memory_strategy": ("memory_strategy", STRATEGIES),
     "memory_size": ("memory_size", (50, 100, 250, 500)),
     "lambda": ("lam", (0.0, 80.0, 200.0, 400.0)),
-    "reg_kind": ("regularizer", ("none", "l2", "ewc")),
-    "view_combo": ("view_combo", ("none", "data", "model", "both")),
+    "reg_kind": ("regularizer", REGULARIZERS),
+    "view_combo": (None, {"none": {"use_replay": False, "lam": 0.0},
+                          "data": {"use_replay": True, "lam": 0.0},
+                          "model": {"use_replay": False},
+                          "both": {"use_replay": True}}),
 }
 ABLATION_AXES = tuple(_ABLATIONS)
 SCALE_AXES = ("network_size", "stream_size")
@@ -231,20 +235,6 @@ def run_case_study(spec, models=None):
         "kind": "case_study", "cohorts": sorted(set(spec.cohort_steps))})
 
 
-def apply_ablation_value(cfg, key, value):
-    if key == "view_combo":
-        if value == "none":
-            return replace(cfg, use_replay=False, lam=0.0)
-        if value == "data":
-            return replace(cfg, use_replay=True, lam=0.0)
-        if value == "model":
-            return replace(cfg, use_replay=False)
-        return replace(cfg, use_replay=True)
-    if key == "regularizer" and value == "none":
-        return replace(cfg, regularizer="none", lam=0.0)
-    return replace(cfg, **{key: value})
-
-
 def run_ablation(spec, axis, values=None):
     """Sweep one knob of the incremental model, everything else fixed.
 
@@ -253,13 +243,18 @@ def run_ablation(spec, axis, values=None):
     if axis not in _ABLATIONS:
         raise ValueError("unknown ablation axis %r" % axis)
     key, defaults = _ABLATIONS[axis]
+    values = tuple(defaults if values is None else values)
+    if key is None and not set(values) <= set(defaults):
+        raise ValueError("unknown %s value in %r" % (axis, values))
+    # every swept configuration is built, and so checked, before any runs
+    cfgs = [replace(spec.cfg, **(defaults[v] if key is None else {key: v}))
+            for v in values]
     deltas, dim = load_deltas(spec)
     train_sets, test_sets = make_splits(deltas, spec.split, spec.cfg.seed)
     rows = []
-    for value in defaults if values is None else values:
+    for value, cfg in zip(values, cfgs):
         # sweep values share the parent's output files
-        sweep = replace(spec, cfg=apply_ablation_value(spec.cfg, key, value),
-                        out_dir=None, checkpoints=False)
+        sweep = replace(spec, cfg=cfg, out_dir=None, checkpoints=False)
         step_rows = _run_one_model("continual", deltas, dim, sweep,
                                    train_sets, test_sets)
         rows.append(dict(_averages(step_rows), axis=axis, value=str(value)))

@@ -105,15 +105,13 @@ def node_importance(view, v):
     return disagree / labeled if labeled else 0.0
 
 
-def replace_prob(mem, class_label, importance, alpha=None):
+def replace_prob(mem, class_label, importance):
     """Admission probability for the latest candidate of a class.
 
     Reservoir base rate target_slots/seen, scaled up by importance and
     clamped to 1. The random strategy ignores class and importance and
     uses the pooled rate capacity/seen_total.
     """
-    if alpha is None:
-        alpha = mem.alpha
     if mem.strategy == "random":
         total = mem.seen_total
         return min(1.0, mem.capacity / total) if total else 0.0
@@ -121,7 +119,7 @@ def replace_prob(mem, class_label, importance, alpha=None):
     if seen == 0:
         return 0.0
     slots = mem.target_slots().get(class_label, 0)
-    boost = 1.0 + alpha * importance if mem.strategy == "stepwise" else 1.0
+    boost = 1.0 + mem.alpha * importance if mem.strategy == "stepwise" else 1.0
     return min(1.0, slots / seen * boost)
 
 

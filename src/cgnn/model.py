@@ -189,16 +189,14 @@ def _layers(params, plan):
     return H, means, preacts
 
 
-def forward_batch(params, pairs, fanout=None, rng=None, plan=None,
-                  upto=None):
+def forward_batch(params, pairs, fanout=None, rng=None, upto=None):
     """Representations for a batch of (view, node) pairs.
 
     fanout=None aggregates full neighborhoods deterministically; with a
     finite fanout, larger neighbor lists are subsampled uniformly without
-    replacement using rng. Passing a BatchPlan prepared for the same pairs
-    reuses its frozen sampling instead. upto=k stops after layer k, on a
-    k-layer plan: upto=layer_count - 1 gives the last hidden layer, upto=0
-    the raw feature rows.
+    replacement using rng. upto=k stops after layer k, on a k-layer plan:
+    upto=layer_count - 1 gives the last hidden layer, upto=0 the raw
+    feature rows.
 
     Returns (H, plan) where H[j] is the representation of pairs[j].
     """
@@ -206,11 +204,7 @@ def forward_batch(params, pairs, fanout=None, rng=None, plan=None,
     if not 0 <= depth <= params.layer_count:
         raise ModelError("cannot stop after layer %d of %d"
                          % (depth, params.layer_count))
-    if plan is None:
-        plan = prepare_batch(depth, pairs, fanout, rng)
-    elif len(plan.mats) - 1 != depth:
-        raise ModelError("plan has %d layers, not %d"
-                         % (len(plan.mats) - 1, depth))
+    plan = prepare_batch(depth, pairs, fanout, rng)
     H, _means, _preacts = _layers(params, plan)
     return H[plan.row_of], plan
 
@@ -222,8 +216,9 @@ def softmax(z):
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def predict_batch(params, pairs, fanout=None, rng=None):
-    H, _ = forward_batch(params, pairs, fanout, rng)
+def predict_batch(params, pairs):
+    """Class probabilities from full neighborhoods."""
+    H, _ = forward_batch(params, pairs)
     return softmax(H)
 
 

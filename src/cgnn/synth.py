@@ -21,9 +21,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .graph import SnapshotDelta, write_stream
-
-FEATURE_DECIMALS = 10
+from .graph import FEATURE_DECIMALS, SnapshotDelta, write_stream
 
 
 @dataclass(frozen=True)
@@ -138,7 +136,7 @@ def build_stream(cfg, out_dir):
     Returns the file path map.
     """
     deltas = generate(cfg)
-    paths = write_stream(deltas, out_dir, feature_decimals=FEATURE_DECIMALS)
+    paths = write_stream(deltas, out_dir)
     manifest = {
         "format_version": 1,
         "config": asdict(cfg),

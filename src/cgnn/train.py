@@ -28,11 +28,14 @@ from .detect import (ThresholdRule, score_approx, score_bfs, score_naive,
                      select_influenced)
 from .ewc import estimate_fisher, ewc_penalty, uniform_importance
 from .graph import GraphState, l_hop_set
-from .memory import ReplayMemory, replay_batch, save_memory, update_memory
+from .memory import (STRATEGIES, ReplayMemory, replay_batch, save_memory,
+                     update_memory)
 from .model import (GnnParams, loss_and_grad, loss_only, prepare_batch,
                     save_params, sgd_step)
 
 MODELS = ("continual", "pretrained", "online", "single", "retrained")
+DETECTORS = ("naive", "bfs", "approx")
+REGULARIZERS = ("none", "l2", "ewc")
 
 _INIT_TAG = 101
 _STEP_TAG = 211
@@ -45,7 +48,6 @@ class TrainConfig:
 
     hidden_dim: int = 64
     layers: int = 2
-    activation: str = "relu"
     fanout: int = 10
     lr: float = 0.01
     epochs: int = 20
@@ -63,13 +65,25 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.detector not in ("naive", "bfs", "approx"):
-            raise ValueError("unknown detector %r" % self.detector)
-        if self.regularizer not in ("none", "l2", "ewc"):
-            raise ValueError("unknown regularizer %r" % self.regularizer)
-        if self.online_scope not in ("changed", "detector"):
-            raise ValueError("unknown online scope %r" % self.online_scope)
+        for name, choices in (("detector", DETECTORS),
+                              ("memory_strategy", STRATEGIES),
+                              ("regularizer", REGULARIZERS),
+                              ("online_scope", ("changed", "detector"))):
+            if getattr(self, name) not in choices:
+                raise ValueError("unknown %s %r" % (name, getattr(self, name)))
         ThresholdRule(self.threshold_mode, self.threshold_value)
+        for name, ok in (("hidden_dim", self.hidden_dim >= 1),
+                         ("layers", self.layers >= 1),
+                         ("lr", self.lr > 0),
+                         ("epochs", self.epochs >= 0),
+                         ("batch_size", self.batch_size >= 1),
+                         ("fanout", self.fanout is None or self.fanout >= 1),
+                         ("memory_size", self.memory_size >= 0),
+                         ("alpha", self.alpha >= 0),
+                         ("lam", self.lam >= 0)):
+            if not ok:
+                raise ValueError("%s out of range: %r"
+                                 % (name, getattr(self, name)))
 
 
 @dataclass
@@ -98,7 +112,7 @@ def _step_rng(cfg, step):
 def _init_params(cfg, in_dim, out_dim, step):
     rng = np.random.default_rng([cfg.seed, _INIT_TAG, step])
     return GnnParams.init(in_dim, cfg.hidden_dim, max(out_dim, 1),
-                          cfg.layers, cfg.activation, rng)
+                          cfg.layers, rng=rng)
 
 
 def detect_influenced(params, g_prev, g_t, delta, cfg):
@@ -113,14 +127,13 @@ def detect_influenced(params, g_prev, g_t, delta, cfg):
     if not seeds:
         return set(), 0.0
     start = time.perf_counter()
-    depth = params.layer_count
-    pool = l_hop_set(g_t, seeds, depth)
+    pool = l_hop_set(g_t, seeds, params.layer_count)
     if cfg.detector == "naive":
         raw = score_naive(params, g_prev, g_t, range(g_t.n))
     elif cfg.detector == "bfs":
-        raw = score_bfs(params, g_prev, g_t, delta, depth)
+        raw = score_bfs(params, g_prev, g_t, delta)
     else:
-        raw = score_approx(params, g_prev, g_t, delta, depth)
+        raw = score_approx(params, g_prev, g_t, delta)
     rule = ThresholdRule(cfg.threshold_mode, cfg.threshold_value)
     pool_scores = {u: raw.get(u, 0.0) for u in sorted(pool)}
     influenced = select_influenced(pool_scores, rule) | new_ids
@@ -303,7 +316,7 @@ def _step(model, params, mem, g_prev, delta, cfg, rng, train_nodes=None,
             replayed = replay_batch(mem)
         if cfg.lam > 0:
             if cfg.regularizer == "ewc" and mem.size > 0:
-                fisher = estimate_fisher(params, mem, fanout=None)
+                fisher = estimate_fisher(params, mem)
             elif cfg.regularizer == "l2":
                 fisher = uniform_importance(params)
 

@@ -16,8 +16,8 @@ def forward(params, view, node, fanout=None, rng=None):
     return H[0], plan
 
 
-def predict(params, view, node, fanout=None, rng=None):
-    return predict_batch(params, [(view, node)], fanout, rng)[0]
+def predict(params, view, node):
+    return predict_batch(params, [(view, node)])[0]
 
 
 def grad_check(params, batch, eps=1e-5, fanout=None, seed=0, grads=None):

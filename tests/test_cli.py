@@ -1,8 +1,10 @@
+import argparse
 import json
 import os
 
 import pytest
 
+import cgnn.cli as cli
 from cgnn.cli import build_objects, main, parse_config_file
 
 
@@ -91,35 +93,34 @@ def test_run_command_with_config_file_and_override(tmp_path, capsys):
     assert list(blob) == ["online"]  # the --set override wins
 
 
+def _args(**given):
+    """Parsed common arguments: the given ones set, every other flag unset."""
+    flags = ("config", "data", "out", "model", "seed", "split", "epochs",
+             "lr", "fanout", "detector", "threshold_ratio", "threshold_abs",
+             "memory_size", "memory_strategy", "alpha", "lam", "regularizer",
+             "accumulate_test", "checkpoints", "cohorts")
+    return argparse.Namespace(**{**dict.fromkeys(flags), "set": [], **given})
+
+
 def test_threshold_flags_set_mode_and_value():
-    import cgnn.cli as cli
-
-    class Args:
-        config = None
-        set = []
-        data = None
-        out = None
-        model = None
-        seed = None
-        split = None
-        epochs = None
-        lr = None
-        fanout = None
-        detector = None
-        threshold_ratio = None
-        threshold_abs = 0.25
-        memory_size = None
-        memory_strategy = None
-        alpha = None
-        lam = None
-        regularizer = None
-        accumulate_test = None
-        checkpoints = None
-        cohorts = None
-
-    spec = cli._gather(Args())
+    spec = cli._gather(_args(threshold_abs=0.25))
     assert spec.cfg.threshold_mode == "abs"
     assert spec.cfg.threshold_value == 0.25
+
+
+def test_flag_beats_set_beats_config_file(tmp_path):
+    conf = tmp_path / "exp.conf"
+    conf.write_text("data_dir=A\n")
+    assert cli._gather(_args(config=str(conf))).data_dir == "A"
+    assert cli._gather(_args(config=str(conf), set=["data=B"])).data_dir == "B"
+    spec = cli._gather(_args(config=str(conf), set=["data=B"], data="C"))
+    assert spec.data_dir == "C"
+
+
+def test_non_integer_cohorts_are_rejected():
+    with pytest.raises(ValueError) as err:
+        build_objects({"cohorts": "0.5,8"})
+    assert "cohort_steps" in str(err.value)
 
 
 def test_conflicting_threshold_flags_are_a_usage_error(capsys):

@@ -84,6 +84,7 @@ def test_rejects_malformed_deltas():
         SnapshotDelta(time=1, attr_changes=((1, feat), (1, feat))),
         SnapshotDelta(time=1, attr_changes=((1, np.full(2, 0.5)),)),
         SnapshotDelta(time=1, attr_changes=((1, np.full(3, 1.5)),)),
+        SnapshotDelta(time=1, attr_changes=((1, np.full(3, np.nan)),)),
         SnapshotDelta(time=1, new_nodes=((4, np.full(3, -0.2), 0),)),
         SnapshotDelta(time=1, new_nodes=((4, feat, -3),)),
     ]
@@ -254,6 +255,14 @@ def test_loader_rejects_bad_files(tmp_path):
     ragged = write("features_ragged.txt", "0.1 0.2\n0.3\n")
     with pytest.raises(GraphError):
         load_stream(write("edges_empty.txt", ""), ragged, labels)
+
+    # values outside [0, 1] are refused at their line; a blank line counts
+    for bad in ("1.4", "-0.1", "nan"):
+        wide = write("features_wide.txt", "0.1 0.2\n\n0.3 %s\n" % bad)
+        with pytest.raises(GraphError) as err:
+            load_stream(write("edges_empty3.txt", ""), wide, labels)
+        assert "features_wide.txt:3: feature values outside [0, 1]" \
+            in str(err.value)
 
     short_labels = write("labels_short.txt", "0 0 0\n")
     with pytest.raises(GraphError):

@@ -197,6 +197,12 @@ def test_ablation_view_combo_reduces_correctly(tmp_path):
 def test_unknown_axis_rejected():
     with pytest.raises(ValueError):
         run_ablation(tiny_spec(), "optimizer")
+    # every swept value is checked before the sweep starts
+    for axis, good, bad in (("view_combo", "both", "bogus"),
+                            ("detector", "bfs", "psychic"),
+                            ("lambda", 0.0, -1.0)):
+        with pytest.raises(ValueError):
+            run_ablation(tiny_spec(), axis, values=[good, bad])
     with pytest.raises(ValueError):
         run_scalability(tiny_spec(), "universe_size")
 

@@ -56,11 +56,12 @@ def test_importance_no_labeled_neighbors_is_zero():
 
 
 def test_replace_prob_arithmetic():
-    mem = ReplayMemory(capacity=10, strategy="stepwise", alpha=1.0)
+    mem = ReplayMemory(capacity=10, strategy="stepwise", alpha=0.0)
     mem.seen[0] = 40
     mem.entries[0] = []
     # 10 slots for the only class; base 5/40, importance 0.6 boosts by 1.6
-    assert replace_prob(mem, 0, 0.6, alpha=0.0) == pytest.approx(10 / 40)
+    assert replace_prob(mem, 0, 0.6) == pytest.approx(10 / 40)
+    mem.alpha = 1.0
     assert replace_prob(mem, 0, 0.6) == pytest.approx(10 / 40 * 1.6)
     mem.seen[0] = 4
     assert replace_prob(mem, 0, 0.9) == 1.0  # clamped

@@ -297,9 +297,6 @@ def test_forward_upto_is_last_hidden_layer(rng):
     got, plan = forward_batch(p, [(g, v) for v in range(n)], upto=1)
     assert np.allclose(got, H1, rtol=1e-12, atol=1e-12)
     assert len(plan.mats) == 2  # a one-layer plan
-    # a prepared plan of the wrong depth is refused
-    with pytest.raises(ModelError):
-        forward_batch(p, [(g, v) for v in range(n)], plan=plan)
     with pytest.raises(ModelError):
         forward_batch(p, [(g, 0)], upto=3)
     # one layer: embedding is the raw feature row

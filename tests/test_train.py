@@ -34,6 +34,16 @@ def test_config_validation():
         TrainConfig(online_scope="everything")
     with pytest.raises(ValueError):
         TrainConfig(threshold_mode="ratio", threshold_value=2.0)
+    for bad in ({"memory_strategy": "bogus"}, {"lam": -5.0},
+                {"batch_size": 0}, {"fanout": 0}, {"alpha": -0.5},
+                {"epochs": -1}, {"lr": 0.0}, {"lr": -0.1},
+                {"memory_size": -1}, {"layers": 0}, {"hidden_dim": 0}):
+        with pytest.raises(ValueError) as err:
+            TrainConfig(**bad)
+        assert next(iter(bad)) in str(err.value)
+    # the edges of the legal ranges
+    TrainConfig(lam=0.0, batch_size=1, fanout=None, alpha=0.0, epochs=0,
+                memory_size=0, layers=1)
 
 
 def test_empty_delta_with_empty_memory_leaves_params_untouched(rng):
