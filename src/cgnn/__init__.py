@@ -10,11 +10,10 @@ from .detect import (ThresholdRule, score_approx, score_bfs, score_naive,
 from .memory import (MemoryEntry, ReplayMemory, load_memory, node_importance,
                      replace_prob, replay_batch, save_memory, update_memory)
 from .ewc import FisherDiag, estimate_fisher, ewc_penalty, uniform_importance
-from .train import (MODELS, StepReport, TrainConfig, continual_step,
-                    run_stream)
+from .train import MODELS, StepReport, TrainConfig, run_stream
 from .synth import SynthConfig, build_stream, generate
 from .harness import ExperimentSpec, run_ablation, run_case_study, \
     run_experiment, run_scalability
-from .metrics import accuracy, confusion, macro_f1
+from .metrics import accuracy, macro_f1
 
 __version__ = "0.1.0"

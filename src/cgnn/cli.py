@@ -181,13 +181,12 @@ def main(argv=None):
     p_gen.add_argument("--steps", type=int)
     p_gen.add_argument("--per-step", type=int, dest="per_step")
     p_gen.add_argument("--dim", type=int, dest="feature_dim")
-    p_gen.add_argument("--classes", type=int)
 
     args = parser.parse_args(argv)
 
     if args.command == "synthgen":
         kwargs = {key: getattr(args, key) for key in
-                  ("seed", "steps", "per_step", "feature_dim", "classes")
+                  ("seed", "steps", "per_step", "feature_dim")
                   if getattr(args, key) is not None}
         paths = build_stream(SynthConfig(**kwargs), args.out)
         for name in sorted(paths):

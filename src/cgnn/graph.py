@@ -7,10 +7,10 @@ training, frozen replay entries) can never be corrupted by later stream
 activity.
 """
 
-import bisect
 import os
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -74,8 +74,9 @@ def _check_feature_row(row, dim, what):
 class GraphState:
     """Immutable snapshot: adjacency, feature matrix, optional labels.
 
-    Node ids are dense ints 0..n-1 in arrival order. Adjacency lists are
-    sorted, duplicate free and never contain the node itself.
+    Node ids are dense ints 0..n-1 in arrival order. Adjacency rows are
+    sorted tuples, duplicate free and never contain the node itself; the
+    next snapshot shares every row its delta leaves alone.
     """
 
     __slots__ = ("_adj", "_features", "_labels", "time")
@@ -152,10 +153,9 @@ class GraphState:
                 _check_feature_row(row, dim, "new node")
 
         total = n + len(new_rows)
-        adj = [list(a) for a in self._adj] + [[] for _ in new_rows]
-
+        pairs = list(delta.edge_adds) + list(delta.edge_removes)
         seen_pairs = set()
-        for u, v in list(delta.edge_adds) + list(delta.edge_removes):
+        for u, v in pairs:
             if u == v:
                 raise GraphError("self loop (%d, %d) rejected" % (u, v))
             if not (0 <= u < total and 0 <= v < total):
@@ -165,24 +165,27 @@ class GraphState:
                 raise GraphError("duplicate edge pair %r within one delta" % (key,))
             seen_pairs.add(key)
 
+        # Only edge endpoints get new rows; every other row tuple is shared.
+        adj = list(self._adj) + [()] * len(new_rows)
+        rows = {w: set(adj[w]) for w in {w for pair in pairs for w in pair}}
         for u, v in delta.edge_adds:
-            if v in adj[u]:
+            if v in rows[u]:
                 raise GraphError("edge (%d, %d) already present" % (u, v))
-            bisect.insort(adj[u], v)
-            bisect.insort(adj[v], u)
+            rows[u].add(v)
+            rows[v].add(u)
         for u, v in delta.edge_removes:
-            if v not in adj[u]:
+            if v not in rows[u]:
                 raise GraphError("removal of absent edge (%d, %d)" % (u, v))
-            adj[u].remove(v)
-            adj[v].remove(u)
+            rows[u].remove(v)
+            rows[v].remove(u)
+        for v, nbrs in rows.items():
+            adj[v] = tuple(sorted(nbrs))
 
-        if new_rows:
-            features = np.vstack([self._features.reshape(n, -1)] + [r[None, :] for r in new_rows]) \
-                if n else np.vstack([r[None, :] for r in new_rows])
-        else:
-            features = self._features.copy()
-        labels = np.concatenate([self._labels, np.asarray(new_labels, dtype=np.int64)]) \
-            if new_labels else self._labels.copy()
+        features = np.concatenate([
+            self._features.reshape(n, dim),
+            np.array(new_rows, dtype=np.float64).reshape(len(new_rows), dim)])
+        labels = np.concatenate([self._labels,
+                                 np.array(new_labels, dtype=np.int64)])
 
         attr_seen = set()
         for nid, feat in delta.attr_changes:
@@ -191,10 +194,10 @@ class GraphState:
             if nid in attr_seen:
                 raise GraphError("node %d changed twice within one delta" % nid)
             attr_seen.add(nid)
-            features[nid] = _check_feature_row(feat, features.shape[1],
+            features[nid] = _check_feature_row(feat, dim,
                                                "attr change %d" % nid)
 
-        return GraphState([tuple(a) for a in adj], features, labels, delta.time)
+        return GraphState(adj, features, labels, delta.time)
 
 
 def replay(deltas, feature_dim=0):
@@ -223,26 +226,38 @@ def l_hop_set(view, seeds, depth):
 class EgoNet:
     """Frozen depth-limited neighborhood of one node.
 
-    Carries its own copies of adjacency rows and feature rows, so later
-    stream updates cannot change what a replay entry trains on. Exposes the
-    live snapshot's neighbors and feature_row reads, which a forward pass
-    needs.
+    Holds the arrays a memory checkpoint stores: the sorted member ids
+    (nodes), the member-to-member edges as (u, v) rows with u < v, and a
+    read-only feature block in nodes order. Later stream updates cannot
+    change what a replay entry trains on. Exposes the live snapshot's
+    neighbors and feature_row reads, which a forward pass needs.
     """
 
-    __slots__ = ("center", "depth", "nodes", "_adj", "_feat")
+    __slots__ = ("center", "depth", "nodes", "edges", "features",
+                 "_adj", "_row")
 
-    def __init__(self, center, depth, nodes, adj, feat):
+    def __init__(self, center, depth, nodes, edges, features):
         self.center = center
         self.depth = depth
-        self.nodes = nodes
-        self._adj = adj
-        self._feat = feat
+        self.nodes = tuple(nodes.tolist())
+        self.edges = edges
+        self.features = features
+        features.setflags(write=False)
+        # each member's neighbours: its run of the edges sorted both ways
+        both = np.concatenate([edges, edges[:, ::-1]])
+        both = both[np.lexsort((both[:, 1], both[:, 0]))]
+        lo = np.searchsorted(both[:, 0], nodes).tolist()
+        hi = np.searchsorted(both[:, 0], nodes, side="right").tolist()
+        nbrs = both[:, 1].tolist()
+        self._adj = {v: tuple(nbrs[a:b])
+                     for v, a, b in zip(self.nodes, lo, hi)}
+        self._row = {v: i for i, v in enumerate(self.nodes)}
 
     def neighbors(self, v):
         return self._adj[v]
 
     def feature_row(self, v):
-        return self._feat[v]
+        return self.features[self._row[v]]
 
 
 def freeze_ego(view, center, depth):
@@ -251,15 +266,14 @@ def freeze_ego(view, center, depth):
     Edges between two boundary nodes are kept: they sit inside the center's
     receptive field and affect boundary representations at smaller depths.
     """
-    members = l_hop_set(view, [center], depth)
-    adj = {}
-    feat = {}
-    for v in members:
-        adj[v] = tuple(u for u in view.neighbors(v) if u in members)
-        row = np.array(view.feature_row(v), dtype=np.float64)
-        row.setflags(write=False)
-        feat[v] = row
-    return EgoNet(center, depth, tuple(sorted(members)), adj, feat)
+    nodes = np.array(sorted(l_hop_set(view, [center], depth)), dtype=np.int64)
+    rows = [view.neighbors(v) for v in nodes.tolist()]
+    src = np.repeat(nodes, [len(r) for r in rows])
+    dst = np.fromiter(chain.from_iterable(rows), np.int64, len(src))
+    keep = (src < dst) & np.isin(dst, nodes)
+    return EgoNet(center, depth, nodes,
+                  np.stack([src[keep], dst[keep]], axis=1),
+                  view.feature_matrix()[nodes])
 
 
 # ---------------------------------------------------------------------------

@@ -208,19 +208,12 @@ def save_memory(mem, path):
     for k in sorted(mem.entries):
         for entry in mem.entries[k]:
             ego = entry.ego
-            nodes = np.array(ego.nodes, dtype=np.int64)
-            edges = []
-            for v in ego.nodes:
-                for u in ego.neighbors(v):
-                    if v < u:
-                        edges.append((v, u))
             prefix = "e%d_" % idx
             payload[prefix + "meta"] = np.array(
                 [entry.label, entry.step, ego.center, ego.depth], dtype=np.int64)
-            payload[prefix + "nodes"] = nodes
-            payload[prefix + "edges"] = np.array(edges, dtype=np.int64).reshape(-1, 2)
-            payload[prefix + "feat"] = np.stack(
-                [ego.feature_row(v) for v in ego.nodes])
+            payload[prefix + "nodes"] = np.array(ego.nodes, dtype=np.int64)
+            payload[prefix + "edges"] = ego.edges
+            payload[prefix + "feat"] = ego.features
             idx += 1
     payload["entry_count"] = np.array(idx, dtype=np.int64)
     np.savez(path, **payload)
@@ -238,18 +231,10 @@ def load_memory(path):
         for idx in range(int(data["entry_count"])):
             prefix = "e%d_" % idx
             label, step, center, depth = (int(x) for x in data[prefix + "meta"])
-            nodes = tuple(int(v) for v in data[prefix + "nodes"])
-            feat_rows = data[prefix + "feat"]
-            adj = {v: [] for v in nodes}
-            for u, v in data[prefix + "edges"]:
-                adj[int(u)].append(int(v))
-                adj[int(v)].append(int(u))
-            adj = {v: tuple(sorted(a)) for v, a in adj.items()}
-            feat = {}
-            for i, v in enumerate(nodes):
-                row = feat_rows[i].copy()
-                row.setflags(write=False)
-                feat[v] = row
-            ego = EgoNet(center, depth, nodes, adj, feat)
+            nodes, edges = data[prefix + "nodes"], data[prefix + "edges"]
+            if not np.isin(edges, nodes).all():
+                raise MemoryError_("%s: entry %d has an edge to a node outside "
+                                   "its ego-net" % (path, idx))
+            ego = EgoNet(center, depth, nodes, edges, data[prefix + "feat"])
             mem.entries[label].append(MemoryEntry(ego, label, step))
     return mem

@@ -13,15 +13,6 @@ def accuracy(y_true, y_pred):
     return float((y_true == y_pred).mean())
 
 
-def confusion(y_true, y_pred, labels):
-    """Counts[i, j]: true label labels[i] predicted as labels[j]."""
-    index = {lab: i for i, lab in enumerate(labels)}
-    counts = np.zeros((len(labels), len(labels)), dtype=np.int64)
-    for t, p in zip(y_true, y_pred):
-        counts[index[t], index[p]] += 1
-    return counts
-
-
 def macro_f1(y_true, y_pred, labels=None):
     """Unweighted mean of per-class F1.
 

@@ -74,10 +74,6 @@ class GnnParams:
         return len(self.weights)
 
     @property
-    def in_dim(self):
-        return self.weights[0].shape[0] - 1
-
-    @property
     def out_dim(self):
         return self.weights[-1].shape[1]
 

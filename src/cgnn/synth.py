@@ -40,10 +40,14 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.classes < 1:
-            raise ValueError("need at least one class")
+        for name in ("steps", "per_step", "feature_dim", "classes"):
+            if getattr(self, name) < 1:
+                raise ValueError("%s out of range: %r"
+                                 % (name, getattr(self, name)))
         if len(self.er_degrees) != self.classes:
-            raise ValueError("one expected degree per class")
+            raise ValueError("er_degrees has %d entries but classes is %d; "
+                             "need one expected degree per class"
+                             % (len(self.er_degrees), self.classes))
         if not (0 <= self.p_out <= self.p_in <= 1):
             raise ValueError("need 0 <= p_out <= p_in <= 1")
         if self.community_window < 1:

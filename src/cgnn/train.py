@@ -334,17 +334,6 @@ def _step(model, params, mem, g_prev, delta, cfg, rng, train_nodes=None,
     return params, mem, g_t, report
 
 
-def continual_step(params, mem, g_prev, delta, cfg, rng, train_nodes=None):
-    """One incremental update. Returns (params, memory, new snapshot, report).
-
-    train_nodes, when given, is the set of nodes whose labels training may
-    use; influenced nodes outside it still count as influenced but are not
-    fit or stored.
-    """
-    return _step("continual", params, mem, g_prev, delta, cfg, rng,
-                 train_nodes)
-
-
 def _atomic_save(save, obj, path):
     """save(obj, fh) into a temporary file beside path, then rename it.
 

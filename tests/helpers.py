@@ -1,13 +1,15 @@
 """Test-only helpers: single-node wrappers, oracles and checkers.
 
-These sit on top of the package's public API (and, for propagate_f, one
-private routine) and exist only so tests can state properties compactly.
+These sit on top of the package's public API (and, for propagate_f and
+continual_step, one private routine each) and exist only so tests can
+state properties compactly.
 """
 
 import numpy as np
 
 from cgnn.detect import _propagation_run
 from cgnn.model import forward_batch, loss_and_grad, loss_only, predict_batch
+from cgnn.train import _step
 
 
 def forward(params, view, node, fanout=None, rng=None):
@@ -51,6 +53,17 @@ def grad_check(params, batch, eps=1e-5, fanout=None, seed=0, grads=None):
                 worst = rel
             it.iternext()
     return worst
+
+
+def continual_step(params, mem, g_prev, delta, cfg, rng, train_nodes=None):
+    """One incremental update. Returns (params, memory, new snapshot, report).
+
+    train_nodes, when given, is the set of nodes whose labels training may
+    use; influenced nodes outside it still count as influenced but are not
+    fit or stored.
+    """
+    return _step("continual", params, mem, g_prev, delta, cfg, rng,
+                 train_nodes)
 
 
 def propagate_f(view, seeds, depth, include_self=False):

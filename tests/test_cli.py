@@ -72,6 +72,15 @@ def test_synthgen_writes_stream(tmp_path, capsys):
     assert manifest["config"]["seed"] == 3
 
 
+def test_synthgen_has_no_classes_flag(tmp_path, capsys):
+    # the generator takes one expected degree per class, which synthgen
+    # cannot set, so the class count stays at its default
+    with pytest.raises(SystemExit) as err:
+        main(["synthgen", "--out", str(tmp_path / "s"), "--classes", "3"])
+    assert err.value.code == 2
+    assert "unrecognized arguments: --classes" in capsys.readouterr().err
+
+
 def test_run_command_on_tiny_stream(tmp_path, capsys):
     out = str(tmp_path / "results")
     rc = main(["run", "--out", out] + TINY)

@@ -14,6 +14,7 @@ import hashlib
 import os
 import re
 
+import numpy as np
 import pytest
 
 from cgnn.harness import (TIMING_COLUMNS, ExperimentSpec, run_ablation,
@@ -63,6 +64,11 @@ GOLDEN = {
 }
 
 
+# every array of the continual run's per-step .ckpt and .mem files
+CHECKPOINT_GOLDEN = (
+    "36069e415e8e62901390d87a78986d7bc74c3f9fbb2afb3c78c847c2e6d7adce")
+
+
 def _spec(out_dir, model="continual", **overrides):
     return ExperimentSpec(cfg=TrainConfig(**overrides), synth=SYNTH,
                           model=model, out_dir=str(out_dir))
@@ -85,6 +91,23 @@ def _files_digest(paths):
         h.update(os.path.basename(path).encode())
         with open(path, "rb") as fh:
             h.update(fh.read())
+    return h.hexdigest()
+
+
+def _arrays_digest(paths):
+    """SHA-256 over each file's arrays: key, dtype, shape and bytes.
+
+    The zip container is left out, since it carries timestamps.
+    """
+    h = hashlib.sha256()
+    for path in paths:
+        h.update(os.path.basename(path).encode())
+        with np.load(path) as data:
+            for key in sorted(data.files):
+                arr = data[key]
+                h.update(("%s %s %r" % (key, arr.dtype.str, arr.shape))
+                         .encode())
+                h.update(np.ascontiguousarray(arr).tobytes())
     return h.hexdigest()
 
 
@@ -130,3 +153,17 @@ def test_case_study_digest(tmp_path):
                    key=lambda p: int(re.findall(r"\d+", os.path.basename(p))[0]))
     assert len(dumps) == SYNTH.steps
     _check("casestudy-embeddings", _files_digest(dumps))
+
+
+def test_checkpoint_digest(tmp_path):
+    """Checkpointed weights and replay memory hold the same arrays."""
+    spec = _spec(tmp_path)
+    spec.checkpoints = True
+    run_experiment(spec)
+    ckpt_dir = tmp_path / "run" / "continual"
+    paths = [str(ckpt_dir / ("step%d%s" % (t, ext)))
+             for t in range(SYNTH.steps) for ext in (".ckpt", ".mem")]
+    got = _arrays_digest(paths)
+    if os.environ.get("DIGEST_PRINT"):
+        print('\nCHECKPOINT_GOLDEN = "%s"' % got)
+    assert got == CHECKPOINT_GOLDEN

@@ -44,6 +44,35 @@ def test_edge_add_and_remove():
     assert not g.has_edge(0, 3)
 
 
+def test_next_snapshot_shares_rows_the_delta_leaves_alone(rng):
+    _, delta = make_graph(rng, 30, 0.15, 3)
+    g = GraphState.empty(3).apply_delta(delta)
+    present = sorted((u, v) for u in range(g.n) for v in g.neighbors(u)
+                     if u < v)
+    absent = [(u, v) for u in range(g.n) for v in range(u + 1, g.n)
+              if not g.has_edge(u, v)]
+    d = SnapshotDelta(
+        time=1, new_nodes=((30, np.full(3, 0.5), 1), (31, np.full(3, 0.5), 0)),
+        edge_adds=tuple(absent[::40]) + ((3, 30),),
+        edge_removes=tuple(present[::7]),
+        attr_changes=((5, np.full(3, 0.25)),))
+    g2 = g.apply_delta(d)
+    touched = d.changed_nodes()
+    assert any(v not in touched for v in range(g.n))
+    for v in range(g.n):
+        if v not in touched:
+            assert g2.neighbors(v) is g.neighbors(v), v
+    for v in touched:
+        row = g2.neighbors(v)
+        assert type(row) is tuple and list(row) == sorted(set(row)), v
+        want = set(g.neighbors(v)) if v < g.n else set()
+        want |= {b for a, b in d.edge_adds if a == v}
+        want |= {a for a, b in d.edge_adds if b == v}
+        want -= {b for a, b in d.edge_removes if a == v}
+        want -= {a for a, b in d.edge_removes if b == v}
+        assert set(row) == want, v
+
+
 def test_attr_change_replaces_full_row():
     g = small_graph()
     row = np.array([0.9, 0.8, 0.7])
@@ -171,6 +200,13 @@ def test_freeze_ego_contents_and_independence(rng):
         want = [u for u in g.neighbors(v) if u in set(ego.nodes)]
         assert list(ego.neighbors(v)) == want
         assert np.array_equal(ego.feature_row(v), g.feature_row(v))
+    # the arrays a memory checkpoint stores
+    assert list(ego.nodes) == sorted(ego.nodes)
+    assert ego.edges.shape[1] == 2 and (ego.edges[:, 0] < ego.edges[:, 1]).all()
+    assert sorted(map(tuple, ego.edges.tolist())) == sorted(
+        (v, u) for v in ego.nodes for u in ego.neighbors(v) if v < u)
+    assert np.array_equal(ego.features, g.feature_matrix()[list(ego.nodes)])
+    assert not ego.features.flags.writeable
     # later stream activity cannot leak into the frozen view
     member = ego.nodes[0]
     g2 = g.apply_delta(SnapshotDelta(

@@ -261,3 +261,21 @@ def test_save_load_round_trip(tmp_path, rng):
                                       e2.ego.feature_row(v))
                 assert sorted(e1.ego.neighbors(v)) == \
                        sorted(e2.ego.neighbors(v))
+
+
+def test_load_rejects_an_edge_outside_the_ego_net(tmp_path, rng):
+    g, _ = make_graph(rng, 10, 0.4, 3)
+    mem = fill(ReplayMemory(capacity=6, strategy="stepwise"), g, range(10))
+    path = str(tmp_path / "mem.npz")
+    save_memory(mem, path)
+    with np.load(path) as data:
+        arrays = dict(data)
+    idx = next(i for i in range(int(arrays["entry_count"]))
+               if len(arrays["e%d_edges" % i]))
+    arrays["e%d_edges" % idx] = arrays["e%d_edges" % idx].copy()
+    arrays["e%d_edges" % idx][0, 1] = 99
+    bad = str(tmp_path / "bad.npz")
+    np.savez(bad, **arrays)
+    with pytest.raises(MemoryError_) as err:
+        load_memory(bad)
+    assert "bad.npz: entry %d" % idx in str(err.value)

@@ -139,10 +139,17 @@ def test_single_step_stream_is_valid():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        SynthConfig(classes=3)  # er_degrees has two entries
+    with pytest.raises(ValueError) as err:
+        SynthConfig(classes=3)
+    assert str(err.value).startswith(
+        "er_degrees has 2 entries but classes is 3")
     with pytest.raises(ValueError):
         SynthConfig(p_in=0.001, p_out=0.02)
+    for name in ("steps", "per_step", "feature_dim", "classes"):
+        with pytest.raises(ValueError) as err:
+            SynthConfig(**{name: 0})
+        assert name in str(err.value)
+    assert SynthConfig(steps=1, per_step=1, feature_dim=1).steps == 1
 
 
 def test_attributes_quantized_to_file_precision():

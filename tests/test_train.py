@@ -7,10 +7,10 @@ import cgnn.train as train
 from cgnn.graph import GraphState, SnapshotDelta
 from cgnn.memory import ReplayMemory, load_memory
 from cgnn.model import load_params
-from cgnn.train import (MODELS, TrainConfig, continual_step,
-                        detect_influenced, run_stream)
+from cgnn.train import MODELS, TrainConfig, detect_influenced, run_stream
 
 from conftest import random_stream
+from helpers import continual_step
 
 
 def small_cfg(**kw):
