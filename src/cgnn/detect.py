@@ -47,24 +47,26 @@ def surrogate_weights(params):
     return out
 
 
-def score_naive(params, g_old, g_new, candidates):
-    """Exact representation drift for every candidate node.
+def _drift(params, g_old, g_new, ids, upto=None):
+    """Row i: the change of node ids[i]'s representation after layer upto.
 
-    Candidates beyond the old snapshot's id range are new; their old
-    representation is the zero vector.
-    """
+    ids are sorted, so the ones the old snapshot has come first; a new
+    node's old representation is the zero vector."""
+    H, _ = forward_batch(params, [(g_new, u) for u in ids], upto=upto)
+    k = int(np.searchsorted(ids, g_old.n))
+    if k:
+        H[:k] -= forward_batch(params, [(g_old, u) for u in ids[:k]],
+                               upto=upto)[0]
+    return H
+
+
+def score_naive(params, g_old, g_new, candidates):
+    """Exact representation drift for every candidate node."""
     ids = sorted(set(candidates))
     if not ids:
         return {}
-    H_new, _ = forward_batch(params, [(g_new, u) for u in ids])
-    # ids are sorted, so the ones the old snapshot has come first
-    old_ids = [u for u in ids if u < g_old.n]
-    H_old = np.zeros_like(H_new)
-    if old_ids:
-        H_old[:len(old_ids)], _ = forward_batch(
-            params, [(g_old, u) for u in old_ids])
-    return {u: float(np.linalg.norm(H_new[i] - H_old[i]))
-            for i, u in enumerate(ids)}
+    D = _drift(params, g_old, g_new, ids)
+    return {u: float(np.linalg.norm(D[i])) for i, u in enumerate(ids)}
 
 
 def score_bfs(params, g_old, g_new, delta):
@@ -131,14 +133,8 @@ def score_approx(params, g_old, g_new, delta, include_self=False):
         return {}
     structural = bool(delta.new_nodes or delta.edge_adds or delta.edge_removes)
     if structural:
-        h_new, _ = forward_batch(params, [(g_new, v) for v in seeds], upto=1)
-        # seeds are sorted, so the ones the old snapshot has come first
-        old_seeds = [v for v in seeds if v < g_old.n]
-        h_old = np.zeros_like(h_new)
-        if old_seeds:
-            h_old[:len(old_seeds)], _ = forward_batch(
-                params, [(g_old, v) for v in old_seeds], upto=1)
-        change = np.linalg.norm(h_new - h_old, axis=1)
+        change = np.linalg.norm(_drift(params, g_old, g_new, seeds, upto=1),
+                                axis=1)
     else:
         wt = surrogate_weights(params)
         diffs = np.stack([np.asarray(new) - g_old.feature_row(nid)

@@ -231,6 +231,9 @@ def load_memory(path):
         for idx in range(int(data["entry_count"])):
             prefix = "e%d_" % idx
             label, step, center, depth = (int(x) for x in data[prefix + "meta"])
+            if label not in mem.entries:
+                raise MemoryError_("%s: entry %d has label %d, which is not "
+                                   "among seen_classes" % (path, idx, label))
             nodes, edges = data[prefix + "nodes"], data[prefix + "edges"]
             if not np.isin(edges, nodes).all():
                 raise MemoryError_("%s: entry %d has an edge to a node outside "

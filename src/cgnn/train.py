@@ -144,12 +144,13 @@ def _train_epochs(params, fresh, replayed, fisher, cfg, rng,
                   decompose=False):
     """SGD epochs over fresh plus replayed triples.
 
-    Returns (params, per_epoch_loss, loss_parts, epoch_seconds). Each
-    epoch's loss is recomputed at its end on the step's frozen plans. With
-    decompose set it is the summed fresh loss, summed replay loss and
-    penalty, on plans of their own for the fresh and the replayed triples,
-    so the reported total always equals the sum of its parts; otherwise it
-    is the mean loss over the training plans.
+    Returns (params, per_epoch_loss, loss_parts, epoch_seconds). An epoch's
+    loss is the objective it stepped on: for a full batch the mean loss at
+    its starting parameters, for minibatches the size-weighted mean of the
+    batch losses. With decompose it is instead recomputed at the epoch's
+    end as the summed fresh loss, summed replay loss and penalty, on plans
+    of their own for the fresh and the replayed triples, so the reported
+    total always equals the sum of its parts.
     """
     entries = list(replayed) + list(fresh)
     losses = []
@@ -167,6 +168,14 @@ def _train_epochs(params, fresh, replayed, fisher, cfg, rng,
         return prepare_batch(params.layer_count,
                              [(g, v) for g, v, _lab in triples],
                              cfg.fanout, rng)
+
+    def objective(params, batch, bplan):
+        """Mean batch loss, penalty value and the summed gradient."""
+        loss, grads = loss_and_grad(params, batch, plan=bplan)
+        if not penalized:
+            return loss, 0.0, grads
+        pen, pgrads = ewc_penalty(params, fisher, cfg.lam)
+        return loss, pen, [g + pscale * p for g, p in zip(grads, pgrads)]
 
     # Neighborhoods are sampled once per step: full-batch schedules freeze
     # one plan, minibatch schedules freeze one random partition with a plan
@@ -197,12 +206,8 @@ def _train_epochs(params, fresh, replayed, fisher, cfg, rng,
     for _epoch in range(cfg.epochs):
         start = time.perf_counter()
         if full:
-            loss, grads = loss_and_grad(params, entries, plan=batches[0][1])
-            total = loss
-            if penalized:
-                pen, pgrads = ewc_penalty(params, fisher, cfg.lam)
-                total = loss + pscale * pen
-                grads = [g + pscale * p for g, p in zip(grads, pgrads)]
+            loss, pen, grads = objective(params, *batches[0])
+            total = loss + pscale * pen
             if best is not None and total >= best[0]:
                 step_lr = max(step_lr / 2.0, cfg.lr / 1024.0)
                 _, params, grads = best
@@ -213,11 +218,8 @@ def _train_epochs(params, fresh, replayed, fisher, cfg, rng,
             epoch_loss = 0.0
             for bi in rng.permutation(len(batches)):
                 batch, bplan = batches[bi]
-                loss, grads = loss_and_grad(params, batch, plan=bplan)
+                loss, _pen, grads = objective(params, batch, bplan)
                 epoch_loss += loss * len(batch)
-                if penalized:
-                    _, pgrads = ewc_penalty(params, fisher, cfg.lam)
-                    grads = [g + pscale * p for g, p in zip(grads, pgrads)]
                 params = sgd_step(params, grads, step_lr)
             total = epoch_loss / len(entries)
             if prev_total is not None and total >= prev_total:
@@ -230,11 +232,9 @@ def _train_epochs(params, fresh, replayed, fisher, cfg, rng,
                              * len(triples) if triples else 0.0
                              for triples, tplan in groups)
             l_model = ewc_penalty(params, fisher, cfg.lam)[0] if penalized else 0.0
-            losses.append(l_new + l_data + l_model)
+            total = l_new + l_data + l_model
             parts.append((l_new, l_data, l_model))
-        else:
-            losses.append(sum(loss_only(params, batch, plan=bplan) * len(batch)
-                              for batch, bplan in batches) / len(entries))
+        losses.append(total)
     return params, losses, parts, seconds
 
 
@@ -381,8 +381,9 @@ def run_stream(model, deltas, cfg, feature_dim, train_sets=None,
     for t in range(start_step):
         state = state.apply_delta(deltas[t])
         train_mask |= _step_train_set(deltas[t], train_sets, t)
-    if start_step and init_params is None:
-        raise ValueError("continuing a run needs initial parameters")
+    if start_step and (init_params is None or mode.replay and init_mem is None):
+        raise ValueError("continuing a run needs initial parameters, and a "
+                         "replay model its memory")
 
     params = init_params
     mem = init_mem

@@ -279,3 +279,22 @@ def test_load_rejects_an_edge_outside_the_ego_net(tmp_path, rng):
     with pytest.raises(MemoryError_) as err:
         load_memory(bad)
     assert "bad.npz: entry %d" % idx in str(err.value)
+
+
+def test_load_rejects_an_entry_with_an_unseen_label(tmp_path, rng):
+    g, _ = make_graph(rng, 10, 0.4, 3)
+    mem = fill(ReplayMemory(capacity=6, strategy="stepwise"), g, range(10))
+    assert sorted(k for k in mem.entries if mem.entries[k]) == [0, 1]
+    path = str(tmp_path / "mem.npz")
+    save_memory(mem, path)
+    with np.load(path) as data:
+        arrays = dict(data)
+    arrays["seen_classes"] = np.array([0], dtype=np.int64)
+    arrays["seen_counts"] = arrays["seen_counts"][:1]
+    idx = next(i for i in range(int(arrays["entry_count"]))
+               if arrays["e%d_meta" % i][0] == 1)
+    bad = str(tmp_path / "bad.npz")
+    np.savez(bad, **arrays)
+    with pytest.raises(MemoryError_) as err:
+        load_memory(bad)
+    assert "bad.npz: entry %d" % idx in str(err.value)

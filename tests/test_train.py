@@ -6,7 +6,7 @@ import pytest
 import cgnn.train as train
 from cgnn.graph import GraphState, SnapshotDelta
 from cgnn.memory import ReplayMemory, load_memory
-from cgnn.model import load_params
+from cgnn.model import load_params, loss_only
 from cgnn.train import MODELS, TrainConfig, detect_influenced, run_stream
 
 from conftest import random_stream
@@ -103,6 +103,21 @@ def test_loss_decreases_within_a_step(rng):
     _, _, reports = run_stream("continual", deltas, cfg, 3)
     losses = reports[0].per_epoch_loss
     assert losses[-1] < losses[0]
+
+
+def test_full_batch_reports_the_loss_it_stepped_on(rng):
+    deltas = random_stream(rng, 1, 12, 0.3, 4)
+    g = GraphState.empty(4).apply_delta(deltas[0])
+    fresh = [(g, v, g.label(v)) for v in range(g.n)]
+    cfg = small_cfg(batch_size=len(fresh))
+    start = train._init_params(cfg, 4, g.class_count(), 0)
+    before = start.copy()
+    _params, losses, parts, _sec = train._train_epochs(
+        start, fresh, [], None, cfg, np.random.default_rng(0))
+    assert params_equal(start, before)
+    assert losses[0] == loss_only(start, fresh)
+    assert len(losses) == cfg.epochs
+    assert parts == []
 
 
 def test_loss_total_equals_sum_of_parts(rng):
@@ -228,6 +243,13 @@ def test_continuation_requires_params():
     deltas = [SnapshotDelta(time=0), SnapshotDelta(time=1)]
     with pytest.raises(ValueError):
         run_stream("continual", deltas, small_cfg(), 4, start_step=1)
+    params, _, _ = run_stream("continual", deltas[:1], small_cfg(), 4)
+    # a replay model continued without its memory would replay nothing
+    with pytest.raises(ValueError, match="memory"):
+        run_stream("continual", deltas, small_cfg(), 4, start_step=1,
+                   init_params=params)
+    run_stream("online", deltas, small_cfg(), 4, start_step=1,
+               init_params=params)
 
 
 def test_unknown_model_rejected():
