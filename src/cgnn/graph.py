@@ -228,7 +228,8 @@ class EgoNet:
 
     Holds the arrays a memory checkpoint stores: the sorted member ids
     (nodes), the member-to-member edges as (u, v) rows with u < v, and a
-    read-only feature block in nodes order. Later stream updates cannot
+    read-only feature block in nodes order, whose rows the checkpoint
+    shares with other entries. Later stream updates cannot
     change what a replay entry trains on. Exposes the live snapshot's
     neighbors and feature_row reads, which a forward pass needs.
     """

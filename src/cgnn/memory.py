@@ -6,7 +6,10 @@ sampling, optionally biased toward nodes whose neighborhoods mix labels,
 since those carry more information about the decision boundary.
 """
 
+import io
 import math
+import struct
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -194,41 +197,98 @@ def replay_batch(mem):
 
 
 def save_memory(mem, path):
-    """Lossless memory dump (.npz). Inverse of load_memory."""
+    """Lossless memory dump (.npz), format version 2. Inverse of load_memory.
+
+    Entry i, in class-major order, is stored as e{i}_meta (label, step,
+    center, depth), e{i}_nodes, e{i}_edges, e{i}_feat and e{i}_rows. The
+    file's row table is e0_feat, e1_feat, ... concatenated in entry order,
+    and e{i}_rows gives each member's row in it. Ego-nets overlap, so
+    e{i}_feat holds only the rows of entry i whose bits differ from the
+    last row the file stored for that node; entry 0 stores all of its own.
+    """
+    entries = [e for k in sorted(mem.entries) for e in mem.entries[k]]
     payload = {
-        "format_version": np.array(1, dtype=np.int64),
+        "format_version": np.array(2, dtype=np.int64),
         "capacity": np.array(mem.capacity, dtype=np.int64),
         "strategy": np.array(mem.strategy),
         "alpha": np.array(mem.alpha, dtype=np.float64),
         "seen_classes": np.array(sorted(mem.seen), dtype=np.int64),
         "seen_counts": np.array([mem.seen[k] for k in sorted(mem.seen)],
                                 dtype=np.int64),
+        "entry_count": np.array(len(entries), dtype=np.int64),
     }
-    idx = 0
-    for k in sorted(mem.entries):
-        for entry in mem.entries[k]:
-            ego = entry.ego
-            prefix = "e%d_" % idx
-            payload[prefix + "meta"] = np.array(
-                [entry.label, entry.step, ego.center, ego.depth], dtype=np.int64)
-            payload[prefix + "nodes"] = np.array(ego.nodes, dtype=np.int64)
-            payload[prefix + "edges"] = ego.edges
-            payload[prefix + "feat"] = ego.features
-            idx += 1
-    payload["entry_count"] = np.array(idx, dtype=np.int64)
-    np.savez(path, **payload)
+    if not entries:
+        _write_npz(path, payload)
+        return
+    nodes = [np.array(e.ego.nodes, dtype=np.int64) for e in entries]
+    # slot: a member's index among the distinct nodes of the whole memory
+    ids, slots = np.unique(np.concatenate(nodes), return_inverse=True)
+    bounds = np.cumsum([len(n) for n in nodes])[:-1]
+    # each node's last stored row: its index in the row table, and its bits
+    last = np.full(len(ids), -1, dtype=np.int64)
+    last_bits = np.zeros((len(ids), entries[0].ego.features.shape[1]),
+                         dtype=np.int64)
+    stored = 0
+    for i, (entry, slot) in enumerate(zip(entries, np.split(slots, bounds))):
+        ego = entry.ego
+        # raw bits, so that -0.0 and 0.0 stay distinct rows
+        bits = ego.features.view(np.int64)
+        rows = last[slot]
+        new = (rows < 0) | (last_bits[slot] != bits).any(axis=1)
+        fresh = np.count_nonzero(new)
+        rows[new] = np.arange(stored, stored + fresh)
+        stored += fresh
+        last[slot[new]] = rows[new]
+        last_bits[slot[new]] = bits[new]
+        prefix = "e%d_" % i
+        payload[prefix + "meta"] = np.array(
+            [entry.label, entry.step, ego.center, ego.depth], dtype=np.int64)
+        payload[prefix + "nodes"] = nodes[i]
+        payload[prefix + "edges"] = ego.edges
+        payload[prefix + "feat"] = ego.features[new]
+        payload[prefix + "rows"] = rows
+    _write_npz(path, payload)
+
+
+def _write_npz(file, arrays):
+    """Write what np.savez writes, a stored zip of .npy (version 1.0) files,
+    to a path or an open binary file. A dump holds five small arrays per
+    entry, so np.savez's per-array work, and a flush per zip member,
+    would cost more than the bytes: build the zip in memory, write it once.
+    """
+    buf = io.BytesIO()
+    with zipfile.ZipFile(buf, "w") as zf:
+        for key, arr in arrays.items():
+            header = "{'descr': %r, 'fortran_order': False, 'shape': %r, }" \
+                % (arr.dtype.str, arr.shape)
+            # data starts on a 64-byte boundary; 11 = magic, length, newline
+            header += " " * (-(len(header) + 11) % 64) + "\n"
+            zf.writestr(key + ".npy", b"\x93NUMPY\x01\x00"
+                        + struct.pack("<H", len(header))
+                        + header.encode("latin1") + arr.tobytes())
+    if hasattr(file, "write"):
+        file.write(buf.getbuffer())
+    else:
+        with open(file, "wb") as fh:
+            fh.write(buf.getbuffer())
 
 
 def load_memory(path):
     with np.load(path) as data:
-        if int(data["format_version"]) != 1:
-            raise MemoryError_("unsupported memory dump version")
+        version = int(data["format_version"])
+        if version != 2:
+            raise MemoryError_("%s: memory dump version %d is not supported; "
+                               "this reader reads version 2" % (path, version))
         mem = ReplayMemory(int(data["capacity"]), str(data["strategy"]),
                            float(data["alpha"]))
         for k, c in zip(data["seen_classes"], data["seen_counts"]):
             mem.seen[int(k)] = int(c)
             mem.entries.setdefault(int(k), [])
-        for idx in range(int(data["entry_count"])):
+        count = int(data["entry_count"])
+        feats = [data["e%d_feat" % i] for i in range(count)]
+        table = np.concatenate(feats) if feats else None
+        stored = 0
+        for idx in range(count):
             prefix = "e%d_" % idx
             label, step, center, depth = (int(x) for x in data[prefix + "meta"])
             if label not in mem.entries:
@@ -238,6 +298,16 @@ def load_memory(path):
             if not np.isin(edges, nodes).all():
                 raise MemoryError_("%s: entry %d has an edge to a node outside "
                                    "its ego-net" % (path, idx))
-            ego = EgoNet(center, depth, nodes, edges, data[prefix + "feat"])
+            rows = data[prefix + "rows"]
+            stored += len(feats[idx])
+            if len(rows) != len(nodes):
+                raise MemoryError_("%s: entry %d has %d feature rows for %d "
+                                   "nodes" % (path, idx, len(rows),
+                                              len(nodes)))
+            if ((rows < 0) | (rows >= stored)).any():
+                raise MemoryError_("%s: entry %d has a row index outside the "
+                                   "%d feature rows stored by entries 0..%d"
+                                   % (path, idx, stored, idx))
+            ego = EgoNet(center, depth, nodes, edges, table[rows])
             mem.entries[label].append(MemoryEntry(ego, label, step))
     return mem

@@ -19,6 +19,7 @@ import pytest
 
 from cgnn.harness import (TIMING_COLUMNS, ExperimentSpec, run_ablation,
                           run_case_study, run_experiment, run_scalability)
+from cgnn.memory import load_memory
 from cgnn.synth import SynthConfig, build_stream
 from cgnn.train import TrainConfig
 
@@ -94,20 +95,50 @@ def _files_digest(paths):
     return h.hexdigest()
 
 
+def _legacy_memory_arrays(path):
+    """A .mem file's memory, loaded and laid out as a version-1 dump, in
+    which every entry stored its whole feature block."""
+    mem = load_memory(path)
+    arrays = {
+        "format_version": np.array(1, dtype=np.int64),
+        "capacity": np.array(mem.capacity, dtype=np.int64),
+        "strategy": np.array(mem.strategy),
+        "alpha": np.array(mem.alpha, dtype=np.float64),
+        "seen_classes": np.array(sorted(mem.seen), dtype=np.int64),
+        "seen_counts": np.array([mem.seen[k] for k in sorted(mem.seen)],
+                                dtype=np.int64),
+    }
+    entries = [e for k in sorted(mem.entries) for e in mem.entries[k]]
+    for i, entry in enumerate(entries):
+        ego = entry.ego
+        arrays["e%d_meta" % i] = np.array(
+            [entry.label, entry.step, ego.center, ego.depth], dtype=np.int64)
+        arrays["e%d_nodes" % i] = np.array(ego.nodes, dtype=np.int64)
+        arrays["e%d_edges" % i] = ego.edges
+        arrays["e%d_feat" % i] = ego.features
+    arrays["entry_count"] = np.array(len(entries), dtype=np.int64)
+    return arrays
+
+
 def _arrays_digest(paths):
     """SHA-256 over each file's arrays: key, dtype, shape and bytes.
 
-    The zip container is left out, since it carries timestamps.
+    The zip container is left out, since it carries timestamps. A .mem
+    file is digested in its version-1 layout, so that the digest also
+    shows the deduplicated format to be lossless.
     """
     h = hashlib.sha256()
     for path in paths:
         h.update(os.path.basename(path).encode())
-        with np.load(path) as data:
-            for key in sorted(data.files):
-                arr = data[key]
-                h.update(("%s %s %r" % (key, arr.dtype.str, arr.shape))
-                         .encode())
-                h.update(np.ascontiguousarray(arr).tobytes())
+        if path.endswith(".mem"):
+            arrays = _legacy_memory_arrays(path)
+        else:
+            with np.load(path) as data:
+                arrays = dict(data)
+        for key in sorted(arrays):
+            arr = arrays[key]
+            h.update(("%s %s %r" % (key, arr.dtype.str, arr.shape)).encode())
+            h.update(np.ascontiguousarray(arr).tobytes())
     return h.hexdigest()
 
 

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from cgnn.graph import GraphState, SnapshotDelta
-from cgnn.memory import (MemoryError_, ReplayMemory, load_memory,
+from cgnn.graph import GraphState, SnapshotDelta, freeze_ego
+from cgnn.memory import (MemoryEntry, MemoryError_, ReplayMemory, load_memory,
                          node_importance, replace_prob, replay_batch,
                          save_memory, update_memory)
 
@@ -261,6 +261,88 @@ def test_save_load_round_trip(tmp_path, rng):
                                       e2.ego.feature_row(v))
                 assert sorted(e1.ego.neighbors(v)) == \
                        sorted(e2.ego.neighbors(v))
+
+
+def test_dump_stores_each_row_once_and_keeps_rewrites_and_zero_signs(
+        tmp_path):
+    # a 4-clique; node 0's first feature is +0.0 at t=0
+    feats = np.linspace(0.1, 0.9, 12).reshape(4, 3)
+    feats[0, 0] = 0.0
+    g0 = GraphState.empty(3).apply_delta(SnapshotDelta(
+        time=0, new_nodes=tuple((v, feats[v], 0) for v in range(4)),
+        edge_adds=tuple((u, v) for u in range(4) for v in range(u + 1, 4))))
+    # t=1 rewrites node 0 to -0.0 there, equal in value but not in bits, and
+    # gives node 1 a different row
+    signed = feats[0].copy()
+    signed[0] = -0.0
+    g1 = g0.apply_delta(SnapshotDelta(
+        time=1, attr_changes=((0, signed), (1, np.full(3, 0.25)))))
+    mem = ReplayMemory(capacity=4, strategy="random")
+    mem.seen = {0: 3}
+    mem.entries = {0: [MemoryEntry(freeze_ego(g0, 0, 1), 0, 0),
+                       MemoryEntry(freeze_ego(g0, 1, 1), 0, 0),
+                       MemoryEntry(freeze_ego(g1, 2, 1), 0, 1)]}
+    assert not np.signbit(mem.entries[0][0].ego.feature_row(0)[0])
+    assert np.signbit(mem.entries[0][2].ego.feature_row(0)[0])
+    path = str(tmp_path / "mem.npz")
+    save_memory(mem, path)
+
+    with np.load(path) as data:
+        stored = [len(data["e%d_feat" % i]) for i in range(3)]
+        members = [len(data["e%d_nodes" % i]) for i in range(3)]
+    # entry 0 stores its four rows; entry 1 the same four nodes at the same
+    # step, so none; entry 2 the rewritten rows of nodes 0 and 1
+    assert members == [4, 4, 4]
+    assert stored == [4, 0, 2]
+    back = load_memory(path)
+    for e1, e2 in zip(mem.entries[0], back.entries[0], strict=True):
+        assert e2.ego.nodes == e1.ego.nodes
+        assert e2.ego.features.tobytes() == e1.ego.features.tobytes()
+    assert np.signbit(back.entries[0][2].ego.feature_row(0)[0])
+
+
+def _saved_arrays(tmp_path, rng):
+    """The arrays of a saved memory whose entries overlap."""
+    g, _ = make_graph(rng, 10, 0.4, 3)
+    mem = fill(ReplayMemory(capacity=6, strategy="stepwise"), g, range(10))
+    path = str(tmp_path / "mem.npz")
+    save_memory(mem, path)
+    with np.load(path) as data:
+        return dict(data)
+
+
+def _load_rewritten(tmp_path, arrays):
+    bad = str(tmp_path / "bad.npz")
+    np.savez(bad, **arrays)
+    with pytest.raises(MemoryError_) as err:
+        load_memory(bad)
+    return str(err.value)
+
+
+def test_load_rejects_a_row_index_past_the_rows_stored_so_far(tmp_path, rng):
+    arrays = _saved_arrays(tmp_path, rng)
+    # entry 1 may point at rows of entries 0 and 1, not at a later entry's
+    stored = len(arrays["e0_feat"]) + len(arrays["e1_feat"])
+    assert stored < sum(len(arrays["e%d_feat" % i])
+                        for i in range(int(arrays["entry_count"])))
+    arrays["e1_rows"] = arrays["e1_rows"].copy()
+    arrays["e1_rows"][0] = stored
+    assert "bad.npz: entry 1 " in _load_rewritten(tmp_path, arrays)
+    arrays["e1_rows"][0] = -1
+    assert "bad.npz: entry 1 " in _load_rewritten(tmp_path, arrays)
+
+
+def test_load_rejects_a_row_index_per_node_mismatch(tmp_path, rng):
+    arrays = _saved_arrays(tmp_path, rng)
+    arrays["e2_rows"] = arrays["e2_rows"][:-1]
+    assert "bad.npz: entry 2 " in _load_rewritten(tmp_path, arrays)
+
+
+def test_load_refuses_a_version_1_dump(tmp_path, rng):
+    arrays = _saved_arrays(tmp_path, rng)
+    arrays["format_version"] = np.array(1, dtype=np.int64)
+    msg = _load_rewritten(tmp_path, arrays)
+    assert "bad.npz" in msg and "version 1" in msg
 
 
 def test_load_rejects_an_edge_outside_the_ego_net(tmp_path, rng):

@@ -5,12 +5,15 @@ import pytest
 
 import cgnn.train as train
 from cgnn.graph import GraphState, SnapshotDelta
+from cgnn.harness import make_splits
 from cgnn.memory import ReplayMemory, load_memory
 from cgnn.model import load_params, loss_only
+from cgnn.synth import generate
 from cgnn.train import MODELS, TrainConfig, detect_influenced, run_stream
 
 from conftest import random_stream
 from helpers import continual_step
+from test_digest import SYNTH
 
 
 def small_cfg(**kw):
@@ -206,6 +209,35 @@ def test_checkpoint_continuation_is_exact(tmp_path, rng):
         assert ra.step == rb.step
         assert ra.per_epoch_loss == rb.per_epoch_loss
         assert ra.trained == rb.trained
+
+
+def test_resume_after_an_attribute_shift_is_exact(tmp_path):
+    # the digests' stream, whose new nodes' attributes shift at step 6; its
+    # ego-nets overlap, so the step-6 memory dump shares rows between entries
+    deltas = generate(SYNTH)
+    cfg = TrainConfig()
+    train_sets, _ = make_splits(deltas, 0.7, cfg.seed)
+    ckdir = str(tmp_path / "ck")
+    p_full, _, rep_full = run_stream("continual", deltas, cfg,
+                                     SYNTH.feature_dim, train_sets=train_sets,
+                                     checkpoint_dir=ckdir)
+    mem_path = os.path.join(ckdir, "step6.mem")
+    with np.load(mem_path) as data:
+        count = int(data["entry_count"])
+        assert sum(len(data["e%d_feat" % i]) for i in range(count)) < \
+            sum(len(data["e%d_nodes" % i]) for i in range(count))
+    p_cont, _, rep_cont = run_stream(
+        "continual", deltas, cfg, SYNTH.feature_dim, train_sets=train_sets,
+        start_step=7, init_params=load_params(rep_full[6].checkpoint_path),
+        init_mem=load_memory(mem_path))
+    assert [w.tobytes() for w in p_cont.weights] == \
+        [w.tobytes() for w in p_full.weights]
+    (ra,) = rep_cont
+    rb = rep_full[7]
+    assert ra.step == rb.step == 7
+    assert ra.per_epoch_loss == rb.per_epoch_loss
+    assert ra.loss_parts == rb.loss_parts
+    assert ra.trained == rb.trained
 
 
 def test_failed_checkpoint_leaves_earlier_files_intact(tmp_path, rng,
