@@ -295,6 +295,10 @@ def load_memory(path):
                 raise MemoryError_("%s: entry %d has label %d, which is not "
                                    "among seen_classes" % (path, idx, label))
             nodes, edges = data[prefix + "nodes"], data[prefix + "edges"]
+            if (np.diff(nodes) <= 0).any() or center not in nodes:
+                raise MemoryError_("%s: entry %d does not list its nodes in "
+                                   "increasing order with center %d among "
+                                   "them" % (path, idx, center))
             if not np.isin(edges, nodes).all():
                 raise MemoryError_("%s: entry %d has an edge to a node outside "
                                    "its ego-net" % (path, idx))

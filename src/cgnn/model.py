@@ -231,9 +231,9 @@ def _batch_loss(params, batch, fanout, rng, with_grad, plan=None):
     shifted = H - H.max(axis=1, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=1))
     logp = shifted - lse[:, None]
-    loss = float(-logp[np.arange(len(batch)), labels].mean())
+    losses = -logp[np.arange(len(batch)), labels]
     if not with_grad:
-        return loss, None
+        return losses, None
 
     L = params.layer_count
     G = np.exp(logp)
@@ -251,11 +251,12 @@ def _batch_loss(params, batch, fanout, rng, with_grad, plan=None):
                 dZ = dH * (preacts[l - 1] > 0.0)
             else:
                 dZ = dH
-    return loss, grads
+    return losses, grads
 
 
 def loss_and_grad(params, batch, fanout=None, rng=None, plan=None):
-    """Mean cross entropy over (view, node, label) triples plus its gradient.
+    """Per-triple cross entropy over (view, node, label) triples, plus the
+    gradient of its mean.
 
     The gradient is exact for the sampled computation graph the forward pass
     actually used. A BatchPlan prepared for the batch reuses its sampling.
@@ -264,8 +265,9 @@ def loss_and_grad(params, batch, fanout=None, rng=None, plan=None):
 
 
 def loss_only(params, batch, fanout=None, rng=None, plan=None):
-    return _batch_loss(params, batch, fanout, rng, with_grad=False,
-                       plan=plan)[0]
+    """Mean cross entropy, without the gradient."""
+    return float(_batch_loss(params, batch, fanout, rng, with_grad=False,
+                             plan=plan)[0].mean())
 
 
 def sgd_step(params, grads, lr):
@@ -303,4 +305,10 @@ def load_params(path):
         count = int(data["layer_count"])
         weights = [data["w%d" % i] for i in range(count)]
         activation = str(data["activation"])
+    for i in range(1, count):
+        rows, width = weights[i].shape[0], weights[i - 1].shape[1]
+        if rows != width + 1:
+            raise ModelError("%s: layer %d has %d weight rows, not %d for a "
+                             "width-%d input and a bias" % (path, i, rows,
+                                                            width + 1, width))
     return GnnParams(weights, activation)

@@ -30,8 +30,8 @@ from .ewc import estimate_fisher, ewc_penalty, uniform_importance
 from .graph import GraphState, l_hop_set
 from .memory import (STRATEGIES, ReplayMemory, replay_batch, save_memory,
                      update_memory)
-from .model import (GnnParams, loss_and_grad, loss_only, prepare_batch,
-                    save_params, sgd_step)
+from .model import (GnnParams, loss_and_grad, prepare_batch, save_params,
+                    sgd_step)
 
 MODELS = ("continual", "pretrained", "online", "single", "retrained")
 DETECTORS = ("naive", "bfs", "approx")
@@ -140,17 +140,16 @@ def detect_influenced(params, g_prev, g_t, delta, cfg):
     return influenced, time.perf_counter() - start
 
 
-def _train_epochs(params, fresh, replayed, fisher, cfg, rng,
-                  decompose=False):
+def _train_epochs(params, fresh, replayed, fisher, cfg, rng):
     """SGD epochs over fresh plus replayed triples.
 
-    Returns (params, per_epoch_loss, loss_parts, epoch_seconds). An epoch's
-    loss is the objective it stepped on: for a full batch the mean loss at
-    its starting parameters, for minibatches the size-weighted mean of the
-    batch losses. With decompose it is instead recomputed at the epoch's
-    end as the summed fresh loss, summed replay loss and penalty, on plans
-    of their own for the fresh and the replayed triples, so the reported
-    total always equals the sum of its parts.
+    Returns (params, per_epoch_loss, loss_parts, epoch_seconds). Each
+    epoch reports the objective it stepped on, for every model: its parts
+    are the summed fresh loss, the summed replay loss and the penalty, and
+    its total is their sum. For a full batch they are taken at the epoch's
+    starting parameters; for minibatches they are summed over the epoch's
+    batches, each batch's penalty weighted by |batch|/N as the objective
+    applies it.
     """
     entries = list(replayed) + list(fresh)
     losses = []
@@ -164,34 +163,19 @@ def _train_epochs(params, fresh, replayed, fisher, cfg, rng,
     # strength every batch would make it len(entries) times stiffer.
     pscale = 1.0 / len(entries)
 
-    def plan(triples):
-        return prepare_batch(params.layer_count,
-                             [(g, v) for g, v, _lab in triples],
-                             cfg.fanout, rng)
-
-    def objective(params, batch, bplan):
-        """Mean batch loss, penalty value and the summed gradient."""
-        loss, grads = loss_and_grad(params, batch, plan=bplan)
-        if not penalized:
-            return loss, 0.0, grads
-        pen, pgrads = ewc_penalty(params, fisher, cfg.lam)
-        return loss, pen, [g + pscale * p for g, p in zip(grads, pgrads)]
-
     # Neighborhoods are sampled once per step: full-batch schedules freeze
     # one plan, minibatch schedules freeze one random partition with a plan
     # per part and only reshuffle the visiting order each epoch.
     full = cfg.batch_size >= len(entries)
-    if full:
-        batches = [(entries, plan(entries))]
-    else:
-        order = rng.permutation(len(entries))
-        batches = []
-        for lo in range(0, len(order), cfg.batch_size):
-            batch = [entries[i] for i in order[lo:lo + cfg.batch_size]]
-            batches.append((batch, plan(batch)))
-    if decompose:
-        groups = [(triples, plan(triples) if triples else None)
-                  for triples in (fresh, replayed)]
+    order = np.arange(len(entries)) if full else rng.permutation(len(entries))
+    batches = []
+    for lo in range(0, len(order), cfg.batch_size):
+        idx = order[lo:lo + cfg.batch_size]
+        batch = [entries[i] for i in idx]
+        bplan = prepare_batch(params.layer_count,
+                              [(g, v) for g, v, _lab in batch],
+                              cfg.fanout, rng)
+        batches.append((batch, bplan, idx < len(replayed)))
 
     # Late in a stream the loss surface sharpens as margins grow, and a
     # step size that was fine for ten steps can start oscillating. A
@@ -205,36 +189,35 @@ def _train_epochs(params, fresh, replayed, fisher, cfg, rng,
     best = None
     for _epoch in range(cfg.epochs):
         start = time.perf_counter()
-        if full:
-            loss, pen, grads = objective(params, *batches[0])
-            total = loss + pscale * pen
-            if best is not None and total >= best[0]:
-                step_lr = max(step_lr / 2.0, cfg.lr / 1024.0)
-                _, params, grads = best
-            else:
-                best = (total, params, grads)
+        l_new = l_data = l_model = weighted = 0.0
+        for bi in [0] if full else rng.permutation(len(batches)):
+            batch, bplan, from_memory = batches[bi]
+            per_node, grads = loss_and_grad(params, batch, plan=bplan)
+            loss = float(per_node.mean())
+            pen = 0.0
+            if penalized:
+                pen, pgrads = ewc_penalty(params, fisher, cfg.lam)
+                grads = [g + pscale * p for g, p in zip(grads, pgrads)]
+            l_new += float(per_node[~from_memory].sum())
+            l_data += float(per_node[from_memory].sum())
+            l_model += pen * (len(batch) / len(entries))
+            weighted += loss * len(batch)
+            if full:
+                total = loss + pscale * pen
+                if best is not None and total >= best[0]:
+                    step_lr = max(step_lr / 2.0, cfg.lr / 1024.0)
+                    _, params, grads = best
+                else:
+                    best = (total, params, grads)
             params = sgd_step(params, grads, step_lr)
-        else:
-            epoch_loss = 0.0
-            for bi in rng.permutation(len(batches)):
-                batch, bplan = batches[bi]
-                loss, _pen, grads = objective(params, batch, bplan)
-                epoch_loss += loss * len(batch)
-                params = sgd_step(params, grads, step_lr)
-            total = epoch_loss / len(entries)
+        if not full:
+            total = weighted / len(entries)
             if prev_total is not None and total >= prev_total:
                 step_lr = max(step_lr / 2.0, cfg.lr / 1024.0)
             prev_total = total
         seconds.append(time.perf_counter() - start)
-
-        if decompose:
-            l_new, l_data = (loss_only(params, triples, plan=tplan)
-                             * len(triples) if triples else 0.0
-                             for triples, tplan in groups)
-            l_model = ewc_penalty(params, fisher, cfg.lam)[0] if penalized else 0.0
-            total = l_new + l_data + l_model
-            parts.append((l_new, l_data, l_model))
-        losses.append(total)
+        parts.append((l_new, l_data, l_model))
+        losses.append(l_new + l_data + l_model)
     return params, losses, parts, seconds
 
 
@@ -248,8 +231,8 @@ class _Mode:
         takes the influenced nodes among all training nodes so far; "step"
         takes the step's own training nodes, "first" those of step 0 only,
         "history" every training node so far.
-    replay: train with the replay memory and the penalty, report the loss
-        parts, and offer the trained nodes to the memory afterwards.
+    replay: train with the replay memory and the penalty, and offer the
+        trained nodes to the memory afterwards.
     """
 
     reinit: bool
@@ -321,7 +304,7 @@ def _step(model, params, mem, g_prev, delta, cfg, rng, train_nodes=None,
                 fisher = uniform_importance(params)
 
     params, losses, parts, seconds = _train_epochs(
-        params, fresh, replayed, fisher, cfg, rng, decompose=mode.replay)
+        params, fresh, replayed, fisher, cfg, rng)
     if mode.replay:
         mem = update_memory(mem, train_ids, g_t, params.layer_count, rng)
 
@@ -381,9 +364,10 @@ def run_stream(model, deltas, cfg, feature_dim, train_sets=None,
     for t in range(start_step):
         state = state.apply_delta(deltas[t])
         train_mask |= _step_train_set(deltas[t], train_sets, t)
-    if start_step and (init_params is None or mode.replay and init_mem is None):
-        raise ValueError("continuing a run needs initial parameters, and a "
-                         "replay model its memory")
+    if start_step and (init_params is None or mode.replay and init_mem is None
+                       or init_params.weights[0].shape[0] != feature_dim + 1):
+        raise ValueError("continuing a run needs initial parameters taking "
+                         "feature_dim inputs, and a replay model its memory")
 
     params = init_params
     mem = init_mem

@@ -47,14 +47,14 @@ RUNS = {
 }
 
 GOLDEN = {
-    "ablate-view_combo": "47abe8780054150c979496bc19561975cfb9792db191d2eda0ae90c2a30399c4",
-    "casestudy": "542690689ecb2bbedd77045df80d7399ad5e213b96928c439de7482035d18b8b",
-    "casestudy-embeddings": "f1d9a26e6a172138392cef0576e93e20fce2652db45051451d337384550f8286",
-    "continual": "99de0ab09768f0738e7d432732a2e8324bc5dcdcb8f7fa414964580858c20b6a",
-    "continual-hierarchical": "a4834816ad8e9ecb9629527ebbb359760d908ddd44ac747db7bbf9463696260c",
+    "ablate-view_combo": "7039bede9ec3936b67213a3e47918970a9312ec1530ad75567c7994cf7699b9c",
+    "casestudy": "8d8f7ff095568ef36c77a39b7db9e7220c83fd62e9f3d5fc8e5ec1489ca8708b",
+    "casestudy-embeddings": "bd328349614ff107855992c5826f3fb9117bf812c04798695acaec192018fe08",
+    "continual": "cff5a95c2b777919b70c02f57645e582b9379e28addbd8cc0d650ea9954751e8",
+    "continual-hierarchical": "f4a87653081227e1e4910ea3e73fbb8710c8c5f951611fec8f32ab5296bd21ae",
     "continual-l2": "5fee0fd43ae4d623796e4ba20895cecddc1b59ed968337ac74bc6f974869ef29",
-    "continual-random": "c13036c43ae14db3f4898de193cc5090b45882b878364adcdc84f28c7f82279a",
-    "continual-stepwise": "81036210ed7aa48f844bb791e88ae36f2368a2f68da175f5584e773226f625dd",
+    "continual-random": "9245b8abbe1dd050c2a4145791c8145afd5d0f8d117c58b978de967ab892171c",
+    "continual-stepwise": "f4a87653081227e1e4910ea3e73fbb8710c8c5f951611fec8f32ab5296bd21ae",
     "online": "8bb0503fdb5d42986e077f9f5434db0610b386543066e1a17ad99a0a753a3eaf",
     "online-detector": "c6632c6fd7e0b21fc154694e5747fd7a7d121516ff51b3ceb3fd8535117fbf31",
     "pretrained": "cc5c07999ee64283bae554afda1b674af7ebcd6b8fe936e47889743b419f4f15",
@@ -67,7 +67,7 @@ GOLDEN = {
 
 # every array of the continual run's per-step .ckpt and .mem files
 CHECKPOINT_GOLDEN = (
-    "36069e415e8e62901390d87a78986d7bc74c3f9fbb2afb3c78c847c2e6d7adce")
+    "ac417db3fcdda5d5261da05ef7ebb0b4d5df460c999687cf48653691afee68f7")
 
 
 def _spec(out_dir, model="continual", **overrides):

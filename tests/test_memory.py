@@ -363,6 +363,23 @@ def test_load_rejects_an_edge_outside_the_ego_net(tmp_path, rng):
     assert "bad.npz: entry %d" % idx in str(err.value)
 
 
+def test_load_rejects_an_entry_whose_center_is_not_a_node(tmp_path, rng):
+    arrays = _saved_arrays(tmp_path, rng)
+    arrays["e0_meta"] = arrays["e0_meta"].copy()
+    arrays["e0_meta"][2] = 10 ** 6
+    assert "bad.npz: entry 0 " in _load_rewritten(tmp_path, arrays)
+
+
+def test_load_rejects_nodes_out_of_increasing_order(tmp_path, rng):
+    arrays = _saved_arrays(tmp_path, rng)
+    idx = next(i for i in range(int(arrays["entry_count"]))
+               if len(arrays["e%d_nodes" % i]) > 1)
+    for rewrite in (lambda n: n[::-1], lambda n: np.r_[n[:1], n[:-1]]):
+        bad = dict(arrays)  # reversed, then the first node repeated
+        bad["e%d_nodes" % idx] = rewrite(arrays["e%d_nodes" % idx])
+        assert "bad.npz: entry %d " % idx in _load_rewritten(tmp_path, bad)
+
+
 def test_load_rejects_an_entry_with_an_unseen_label(tmp_path, rng):
     g, _ = make_graph(rng, 10, 0.4, 3)
     mem = fill(ReplayMemory(capacity=6, strategy="stepwise"), g, range(10))

@@ -176,11 +176,14 @@ def test_sampling_is_deterministic_under_seed(rng):
                            rng=np.random.default_rng(7))
     l2, g2 = loss_and_grad(p, batch, fanout=2,
                            rng=np.random.default_rng(7))
-    assert l1 == l2
+    assert l1.shape == (len(batch),)
+    assert np.array_equal(l1, l2)
     for a, b in zip(g1, g2):
         assert np.array_equal(a, b)
-    l3 = loss_only(p, batch, fanout=2, rng=np.random.default_rng(8))
-    assert l3 != l1  # different sample, different loss
+    l3 = loss_only(p, batch, fanout=2, rng=np.random.default_rng(7))
+    assert l3 == float(l1.mean())
+    l4 = loss_only(p, batch, fanout=2, rng=np.random.default_rng(8))
+    assert l4 != l3  # different sample, different loss
 
 
 class ShuffledView:
@@ -269,6 +272,16 @@ def test_checkpoint_round_trip_is_lossless(tmp_path, rng):
     assert q.layer_count == p.layer_count
     for a, b in zip(p.weights, q.weights):
         assert np.array_equal(a, b)
+
+
+def test_load_rejects_weights_whose_shapes_do_not_chain(tmp_path, rng):
+    p = GnnParams.init(3, 8, 2, layers=2, rng=rng)
+    path = str(tmp_path / "weights.ckpt")
+    with open(path, "wb") as fh:
+        save_params(GnnParams([p.weights[0], np.zeros((5, 2))]), fh)
+    with pytest.raises(ModelError) as err:
+        load_params(path)
+    assert "weights.ckpt: layer 1 " in str(err.value)
 
 
 def test_expand_classes_keeps_old_logits(rng):

@@ -3,11 +3,13 @@ import os
 import numpy as np
 import pytest
 
+import cgnn.model as model_mod
 import cgnn.train as train
-from cgnn.graph import GraphState, SnapshotDelta
+from cgnn.ewc import ewc_penalty, uniform_importance
+from cgnn.graph import GraphState, SnapshotDelta, freeze_ego
 from cgnn.harness import make_splits
 from cgnn.memory import ReplayMemory, load_memory
-from cgnn.model import load_params, loss_only
+from cgnn.model import GnnParams, load_params, loss_and_grad
 from cgnn.synth import generate
 from cgnn.train import MODELS, TrainConfig, detect_influenced, run_stream
 
@@ -111,31 +113,68 @@ def test_loss_decreases_within_a_step(rng):
 def test_full_batch_reports_the_loss_it_stepped_on(rng):
     deltas = random_stream(rng, 1, 12, 0.3, 4)
     g = GraphState.empty(4).apply_delta(deltas[0])
-    fresh = [(g, v, g.label(v)) for v in range(g.n)]
-    cfg = small_cfg(batch_size=len(fresh))
+    fresh = [(g, v, g.label(v)) for v in range(1, g.n)]
+    replayed = [(freeze_ego(g, 0, 2), 0, g.label(0))]
+    cfg = small_cfg(batch_size=g.n, lam=50.0)
     start = train._init_params(cfg, 4, g.class_count(), 0)
     before = start.copy()
+    # anchored away from the start, so the penalty is not zero there
+    fisher = uniform_importance(train._init_params(cfg, 4, g.class_count(), 1))
     _params, losses, parts, _sec = train._train_epochs(
-        start, fresh, [], None, cfg, np.random.default_rng(0))
+        start, fresh, replayed, fisher, cfg, np.random.default_rng(0))
     assert params_equal(start, before)
-    assert losses[0] == loss_only(start, fresh)
-    assert len(losses) == cfg.epochs
-    assert parts == []
+    per_node, _grads = loss_and_grad(start, replayed + fresh)
+    pen = ewc_penalty(start, fisher, cfg.lam)[0]
+    assert pen > 0
+    assert parts[0] == (float(per_node[1:].sum()), float(per_node[0]), pen)
+    assert losses[0] == sum(parts[0])
+    assert len(losses) == len(parts) == cfg.epochs
 
 
-def test_loss_total_equals_sum_of_parts(rng):
+@pytest.mark.parametrize("batch_size", [16, 1 << 30],
+                         ids=["minibatch", "fullbatch"])
+@pytest.mark.parametrize("model", MODELS)
+def test_loss_total_equals_sum_of_parts(rng, model, batch_size):
+    deltas = random_stream(rng, 3, 12, 0.35, 4)
+    cfg = small_cfg(lam=50.0, batch_size=batch_size)
+    _, _, reports = run_stream(model, deltas, cfg, 4)
+    saw_penalty = False
+    for rep in reports:
+        epochs = cfg.epochs if rep.trained + rep.replayed else 0
+        assert len(rep.loss_parts) == len(rep.per_epoch_loss) == epochs
+        for total, (l_new, l_data, l_model) in zip(rep.per_epoch_loss,
+                                                   rep.loss_parts):
+            assert total == l_new + l_data + l_model
+            assert l_new >= 0 and l_data >= 0 and l_model >= 0
+            if model != "continual":
+                assert l_data == l_model == 0.0
+            saw_penalty = saw_penalty or l_model > 0
+    # replay memory plus drift makes the anchor bind
+    assert saw_penalty == (model == "continual")
+
+
+def test_replay_step_plans_each_batch_once(rng, monkeypatch):
+    calls = {"prepare_batch": 0, "loss_only": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(train, "prepare_batch",
+                        counted("prepare_batch", train.prepare_batch))
+    only = counted("loss_only", model_mod.loss_only)
+    monkeypatch.setattr(model_mod, "loss_only", only)
+    monkeypatch.setattr(train, "loss_only", only, raising=False)
     deltas = random_stream(rng, 3, 12, 0.35, 4)
     cfg = small_cfg(lam=50.0)
     _, _, reports = run_stream("continual", deltas, cfg, 4)
-    saw_penalty = False
-    for rep in reports:
-        assert len(rep.loss_parts) == len(rep.per_epoch_loss)
-        for total, (l_new, l_data, l_model) in zip(rep.per_epoch_loss,
-                                                   rep.loss_parts):
-            assert total == pytest.approx(l_new + l_data + l_model, abs=1e-9)
-            assert l_new >= 0 and l_data >= 0 and l_model >= 0
-            saw_penalty = saw_penalty or l_model > 0
-    assert saw_penalty  # replay memory plus drift makes the anchor bind
+    assert reports[-1].replayed > 0
+    batches = sum(-(-(r.trained + r.replayed) // cfg.batch_size)
+                  for r in reports)
+    assert batches > len(reports)  # minibatches at some step
+    assert calls == {"prepare_batch": batches, "loss_only": 0}
 
 
 def test_one_step_stream_all_models_agree(rng):
@@ -282,6 +321,14 @@ def test_continuation_requires_params():
                    init_params=params)
     run_stream("online", deltas, small_cfg(), 4, start_step=1,
                init_params=params)
+
+
+def test_continuation_refuses_params_of_another_input_width():
+    deltas = [SnapshotDelta(time=0), SnapshotDelta(time=1)]
+    wide = GnnParams.init(5, 8, 2, rng=np.random.default_rng(0))
+    with pytest.raises(ValueError, match="feature_dim"):
+        run_stream("online", deltas, small_cfg(), 4, start_step=1,
+                   init_params=wide)
 
 
 def test_unknown_model_rejected():
