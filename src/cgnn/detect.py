@@ -15,7 +15,7 @@ import numpy as np
 from scipy import sparse
 
 from .graph import l_hop_set
-from .model import forward_batch
+from .model import forward_batch, prepare_batch
 
 
 @dataclass(frozen=True)
@@ -85,35 +85,27 @@ def score_bfs(params, g_old, g_new, delta):
 def _propagation_run(view, seeds, depth, include_self):
     """Per-seed propagation weights over the seeds' depth-hop ball.
 
-    Round l sets f_u to the mean of round l-1 values over u's neighbors
-    (plus u itself when include_self is set). Mass never leaves the ball,
-    so restricting the transition matrix to it is exact. Isolated nodes
-    keep weight zero.
+    Round l sets f_u to the mean of round l-1 values over u's neighbors,
+    plus u itself when include_self is set: the model's one-level
+    aggregation over the ball. Mass never leaves the ball, so dropping the
+    columns outside it is exact. Isolated nodes keep weight zero.
     """
     region = sorted(l_hop_set(view, seeds, depth))
-    pos = {v: i for i, v in enumerate(region)}
-    rows, cols, vals = [], [], []
-    for v in region:
-        deg = view.degree(v)
-        denom = deg + 1 if include_self else deg
-        if denom == 0:
-            continue
-        r = pos[v]
-        if include_self:
-            rows.append(r)
-            cols.append(r)
-            vals.append(1.0 / denom)
-        for u in view.neighbors(v):
-            c = pos.get(u)
-            if c is not None:
-                rows.append(r)
-                cols.append(c)
-                vals.append(1.0 / denom)
-    P = sparse.csr_matrix((vals, (rows, cols)), shape=(len(region), len(region)))
+    plan = prepare_batch(1, [(view, v) for v in region])
+    A = plan.mats[1].tocoo()
+    nodes = np.array([u for _vid, u in plan.keys[0]])[A.col]
+    cols = np.searchsorted(region, nodes)
+    keep = np.isin(nodes, region)
+    if include_self:
+        vals = A.data[keep]
+    else:
+        keep &= cols != A.row
+        vals = 1.0 / (np.diff(plan.mats[1].indptr)[A.row[keep]] - 1)
+    P = sparse.csr_matrix((vals, (A.row[keep], cols[keep])),
+                          shape=(len(region), len(region)))
 
     F = np.zeros((len(region), len(seeds)), dtype=np.float64)
-    for j, s in enumerate(seeds):
-        F[pos[s], j] = 1.0
+    F[np.searchsorted(region, seeds), np.arange(len(seeds))] = 1.0
     for _ in range(depth):
         F = P @ F
     return region, F

@@ -264,8 +264,9 @@ class EgoNet:
 def freeze_ego(view, center, depth):
     """Copy the center's depth-hop neighborhood out of a live snapshot.
 
-    Edges between two boundary nodes are kept: they sit inside the center's
-    receptive field and affect boundary representations at smaller depths.
+    Every edge between two members is kept, including those between two
+    boundary nodes (depth hops out). A forward pass of depth layers never
+    reads those: it reads the neighbors only of nodes within depth - 1 hops.
     """
     nodes = np.array(sorted(l_hop_set(view, [center], depth)), dtype=np.int64)
     rows = [view.neighbors(v) for v in nodes.tolist()]

@@ -41,6 +41,8 @@ class ReplayMemory:
             raise MemoryError_("capacity must be non-negative")
         if strategy not in STRATEGIES:
             raise MemoryError_("unknown strategy %r" % strategy)
+        if alpha < 0:
+            raise MemoryError_("alpha must be non-negative")
         self.capacity = capacity
         self.strategy = strategy
         self.alpha = alpha
@@ -274,14 +276,27 @@ def _write_npz(file, arrays):
 
 
 def load_memory(path):
+    """Inverse of save_memory. A malformed file raises a MemoryError_ that
+    names it."""
+    try:
+        return _load_memory(path)
+    except (KeyError, MemoryError_) as err:
+        raise MemoryError_("%s: %s" % (path, err.args[0])) from None
+
+
+def _load_memory(path):
     with np.load(path) as data:
         version = int(data["format_version"])
         if version != 2:
-            raise MemoryError_("%s: memory dump version %d is not supported; "
-                               "this reader reads version 2" % (path, version))
+            raise MemoryError_("memory dump version %d is not supported; "
+                               "this reader reads version 2" % version)
         mem = ReplayMemory(int(data["capacity"]), str(data["strategy"]),
                            float(data["alpha"]))
-        for k, c in zip(data["seen_classes"], data["seen_counts"]):
+        classes, counts = data["seen_classes"], data["seen_counts"]
+        if len(classes) != len(counts) or (counts < 0).any():
+            raise MemoryError_("seen_classes and seen_counts do not pair "
+                               "each class with a non-negative count")
+        for k, c in zip(classes, counts):
             mem.seen[int(k)] = int(c)
             mem.entries.setdefault(int(k), [])
         count = int(data["entry_count"])
@@ -292,26 +307,25 @@ def load_memory(path):
             prefix = "e%d_" % idx
             label, step, center, depth = (int(x) for x in data[prefix + "meta"])
             if label not in mem.entries:
-                raise MemoryError_("%s: entry %d has label %d, which is not "
-                                   "among seen_classes" % (path, idx, label))
+                raise MemoryError_("entry %d has label %d, which is not among "
+                                   "seen_classes" % (idx, label))
             nodes, edges = data[prefix + "nodes"], data[prefix + "edges"]
             if (np.diff(nodes) <= 0).any() or center not in nodes:
-                raise MemoryError_("%s: entry %d does not list its nodes in "
+                raise MemoryError_("entry %d does not list its nodes in "
                                    "increasing order with center %d among "
-                                   "them" % (path, idx, center))
+                                   "them" % (idx, center))
             if not np.isin(edges, nodes).all():
-                raise MemoryError_("%s: entry %d has an edge to a node outside "
-                                   "its ego-net" % (path, idx))
+                raise MemoryError_("entry %d has an edge to a node outside "
+                                   "its ego-net" % idx)
             rows = data[prefix + "rows"]
             stored += len(feats[idx])
             if len(rows) != len(nodes):
-                raise MemoryError_("%s: entry %d has %d feature rows for %d "
-                                   "nodes" % (path, idx, len(rows),
-                                              len(nodes)))
+                raise MemoryError_("entry %d has %d feature rows for %d nodes"
+                                   % (idx, len(rows), len(nodes)))
             if ((rows < 0) | (rows >= stored)).any():
-                raise MemoryError_("%s: entry %d has a row index outside the "
-                                   "%d feature rows stored by entries 0..%d"
-                                   % (path, idx, stored, idx))
+                raise MemoryError_("entry %d has a row index outside the %d "
+                                   "feature rows stored by entries 0..%d"
+                                   % (idx, stored, idx))
             ego = EgoNet(center, depth, nodes, edges, table[rows])
             mem.entries[label].append(MemoryEntry(ego, label, step))
     return mem

@@ -298,17 +298,25 @@ def save_params(params, path):
 
 
 def load_params(path):
-    with np.load(path) as data:
-        version = int(data["format_version"])
-        if version != CHECKPOINT_VERSION:
-            raise ModelError("unsupported checkpoint version %d" % version)
-        count = int(data["layer_count"])
-        weights = [data["w%d" % i] for i in range(count)]
-        activation = str(data["activation"])
-    for i in range(1, count):
-        rows, width = weights[i].shape[0], weights[i - 1].shape[1]
-        if rows != width + 1:
-            raise ModelError("%s: layer %d has %d weight rows, not %d for a "
-                             "width-%d input and a bias" % (path, i, rows,
-                                                            width + 1, width))
-    return GnnParams(weights, activation)
+    """Inverse of save_params. A malformed file raises a ModelError that
+    names it."""
+    try:
+        with np.load(path) as data:
+            version = int(data["format_version"])
+            if version != CHECKPOINT_VERSION:
+                raise ModelError("unsupported checkpoint version %d" % version)
+            count = int(data["layer_count"])
+            if count < 1 or "w%d" % count in data.files:
+                raise ModelError("layer_count %d does not match the stored "
+                                 "weights" % count)
+            weights = [data["w%d" % i] for i in range(count)]
+            activation = str(data["activation"])
+        for i in range(1, count):
+            rows, width = weights[i].shape[0], weights[i - 1].shape[1]
+            if rows != width + 1:
+                raise ModelError("layer %d has %d weight rows, not %d for a "
+                                 "width-%d input and a bias"
+                                 % (i, rows, width + 1, width))
+        return GnnParams(weights, activation)
+    except (KeyError, ModelError) as err:
+        raise ModelError("%s: %s" % (path, err.args[0])) from None

@@ -368,6 +368,15 @@ def run_stream(model, deltas, cfg, feature_dim, train_sets=None,
                        or init_params.weights[0].shape[0] != feature_dim + 1):
         raise ValueError("continuing a run needs initial parameters taking "
                          "feature_dim inputs, and a replay model its memory")
+    depth = cfg.layers if init_params is None else init_params.layer_count
+    stored = replay_batch(init_mem) if init_mem is not None else []
+    for ego, center, label in stored:
+        if ego.features.shape[1] != feature_dim or ego.depth != depth:
+            raise ValueError(
+                "memory entry with center %d and label %d holds %d-wide "
+                "feature rows frozen at depth %d; this run needs feature_dim "
+                "%d at depth %d" % (center, label, ego.features.shape[1],
+                                    ego.depth, feature_dim, depth))
 
     params = init_params
     mem = init_mem

@@ -3,7 +3,9 @@
 The harness promises byte-identical output for a fixed seed, timing columns
 aside. These SHA-256 digests pin that output on a small synthetic stream for
 all five models and the main configuration variants, for the ablation and
-scaling reports, and for the case study's embedding dumps. A refactor must
+scaling reports, and for the case study's embedding dumps. Each run also
+pins its final weights and, with a replay memory, the (label, step, center)
+list of its final memory, which the metrics file may not show. A refactor must
 leave every digest unchanged. A change that alters behaviour on purpose
 regenerates them (run this file with DIGEST_PRINT=1 and pytest's -s to
 print the new values) and says so in CHANGES.md.
@@ -17,6 +19,7 @@ import re
 import numpy as np
 import pytest
 
+from cgnn import harness
 from cgnn.harness import (TIMING_COLUMNS, ExperimentSpec, run_ablation,
                           run_case_study, run_experiment, run_scalability)
 from cgnn.memory import load_memory
@@ -62,6 +65,31 @@ GOLDEN = {
     "retrained-fullbatch": "bdde5b6fbd1aed6a3c66fbc158995eba80fa6ed13d309f99af39342be32710db",
     "scale-network_size": "e77591407a72d3593ce7214a0b989e6d64e526b01bff03f6f8c541e7126254ba",
     "single": "05996785aa7052e9dc682a35b9ca4c10326035b0c3526d9e2f8b8d49e7be5c4f",
+}
+
+
+# name -> SHA-256 of the run's final weights (activation, shapes, bytes)
+WEIGHTS_GOLDEN = {
+    "continual": "644db81c4c870d8249af68bf2220dd12f62af824afd5b2c6bebaf3a2bd6d854d",
+    "continual-hierarchical": "cd2414d6a14418c69aac6859a5661f678c3c1012beca43e6c44118ed3b790fea",
+    "continual-l2": "52a4972152ec9f4c9ea40aacf66334aa3a95443d595d686036e3e1c21b3b3b45",
+    "continual-random": "d9db158accede34956e4bb9af618e8f8124a5147c55b3a9b376dfe71c96278f1",
+    "continual-stepwise": "2e89f83fb6ca2183859e0ac9441101d2172c2d0f95f852a5bfbd0368c49b93cc",
+    "online": "8da37612219b29eb2d86587354640ef9c57603a5576f93435cd4de32ca0871a2",
+    "online-detector": "fbc87be0a3f847dc473ebc712642d00fd848bde1896827007d24e1b1ef123b16",
+    "pretrained": "af4e77c17f656f4c7101f27cc96a14c8afc3ae11848382d0069ca079c0d11954",
+    "retrained": "8568cffe12ccbe79041f2c3bb205e73567a6b3dcaab9d3ceea6bd06d8d2c956b",
+    "retrained-fullbatch": "50907c7796d9c7b2b9f9ce7ee5db562866070c6e4eac69e8c7682f651c345dfc",
+    "single": "47dcb32352065f80f5aa13390be0ef95736afb6034aa1382c6329fab9c89554b",
+}
+
+# name -> SHA-256 of the run's final memory as (label, step, center) rows
+MEMORY_GOLDEN = {
+    "continual": "cdb0fc2529f6121a7be4b68c76637f2954e90ce13b83ea6ae5ed8457068d37d4",
+    "continual-hierarchical": "18f5ee94f4b7319d772368b57767868871b79b9bdb96e5a810238c89680ad64c",
+    "continual-l2": "6437b30815a3bba0cbc53fdf91ab7d063a2ea0e41fc54ae8baf0832dc4b8d582",
+    "continual-random": "a8b8fabf6330d7f9ca7792d0d30e76987cb612b42eb0f2554439e998d16860af",
+    "continual-stepwise": "2ee05f83fb6df42ae9876dad218f93d801759a82c29e43dc640c15d303690ed6",
 }
 
 
@@ -142,17 +170,42 @@ def _arrays_digest(paths):
     return h.hexdigest()
 
 
-def _check(name, got):
+def _weights_digest(params):
+    h = hashlib.sha256(params.activation.encode())
+    for w in params.weights:
+        h.update(("%s %r" % (w.dtype.str, w.shape)).encode())
+        h.update(np.ascontiguousarray(w).tobytes())
+    return h.hexdigest()
+
+
+def _memory_digest(mem):
+    rows = [(e.label, e.step, e.ego.center)
+            for k in sorted(mem.entries) for e in mem.entries[k]]
+    return hashlib.sha256(np.array(rows, dtype=np.int64).tobytes()).hexdigest()
+
+
+def _check(name, got, golden=GOLDEN):
     if os.environ.get("DIGEST_PRINT"):
         print('\n    "%s": "%s",' % (name, got))
-    assert got == GOLDEN[name], name
+    assert got == golden[name], name
 
 
 @pytest.mark.parametrize("name", sorted(RUNS))
-def test_run_digest(tmp_path, name):
+def test_run_digest(tmp_path, monkeypatch, name):
     model, overrides = RUNS[name]
+    final = []
+
+    def run_stream(*args, real=harness.run_stream, **kwargs):
+        final.append(real(*args, **kwargs))
+        return final[-1]
+
+    monkeypatch.setattr(harness, "run_stream", run_stream)
     run_experiment(_spec(tmp_path, model, **overrides))
     _check(name, _csv_digest(tmp_path / "metrics.csv"))
+    (params, mem, _reports), = final
+    _check(name, _weights_digest(params), WEIGHTS_GOLDEN)
+    if mem.capacity:
+        _check(name, _memory_digest(mem), MEMORY_GOLDEN)
 
 
 @pytest.mark.parametrize("model", ["continual", "retrained"])

@@ -345,6 +345,21 @@ def test_load_refuses_a_version_1_dump(tmp_path, rng):
     assert "bad.npz" in msg and "version 1" in msg
 
 
+@pytest.mark.parametrize("rewrite", [
+    lambda a: {"strategy": np.array("bogus")},
+    lambda a: {"capacity": np.array(-1)},
+    lambda a: {"alpha": np.array(-1.0)},
+    lambda a: {"seen_counts": -a["seen_counts"]},
+    lambda a: {"seen_classes": np.append(a["seen_classes"], 5)},
+    lambda a: {"entry_count": a["entry_count"] + 1},  # past the stored ones
+], ids=["strategy", "capacity", "alpha", "seen_counts", "seen_classes",
+        "entry_count"])
+def test_load_names_the_file_when_it_refuses_it(tmp_path, rng, rewrite):
+    arrays = _saved_arrays(tmp_path, rng)
+    arrays.update(rewrite(arrays))
+    assert "bad.npz: " in _load_rewritten(tmp_path, arrays)
+
+
 def test_load_rejects_an_edge_outside_the_ego_net(tmp_path, rng):
     g, _ = make_graph(rng, 10, 0.4, 3)
     mem = fill(ReplayMemory(capacity=6, strategy="stepwise"), g, range(10))

@@ -284,6 +284,28 @@ def test_load_rejects_weights_whose_shapes_do_not_chain(tmp_path, rng):
     assert "weights.ckpt: layer 1 " in str(err.value)
 
 
+@pytest.mark.parametrize("override", [
+    {"layer_count": 3},          # one more layer than the file stores
+    {"layer_count": 1},          # one fewer
+    {"layer_count": 0},
+    {"activation": "tanh"},
+    {"format_version": 2},
+], ids=["layer_count_3", "layer_count_1", "layer_count_0", "activation",
+        "format_version"])
+def test_load_names_the_file_when_it_refuses_it(tmp_path, rng, override):
+    path = str(tmp_path / "weights.ckpt")
+    with open(path, "wb") as fh:
+        save_params(GnnParams.init(3, 8, 2, layers=2, rng=rng), fh)
+    with np.load(path) as data:
+        arrays = dict(data)
+    arrays.update({k: np.array(v) for k, v in override.items()})
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+    with pytest.raises(ModelError) as err:
+        load_params(path)
+    assert "weights.ckpt: " in str(err.value)
+
+
 def test_expand_classes_keeps_old_logits(rng):
     g, _ = make_graph(rng, 8, 0.3, 3)
     p = GnnParams.init(3, 4, 2, rng=rng)

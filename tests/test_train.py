@@ -6,9 +6,9 @@ import pytest
 import cgnn.model as model_mod
 import cgnn.train as train
 from cgnn.ewc import ewc_penalty, uniform_importance
-from cgnn.graph import GraphState, SnapshotDelta, freeze_ego
+from cgnn.graph import EgoNet, GraphState, SnapshotDelta, freeze_ego
 from cgnn.harness import make_splits
-from cgnn.memory import ReplayMemory, load_memory
+from cgnn.memory import MemoryEntry, ReplayMemory, load_memory
 from cgnn.model import GnnParams, load_params, loss_and_grad
 from cgnn.synth import generate
 from cgnn.train import MODELS, TrainConfig, detect_influenced, run_stream
@@ -329,6 +329,26 @@ def test_continuation_refuses_params_of_another_input_width():
     with pytest.raises(ValueError, match="feature_dim"):
         run_stream("online", deltas, small_cfg(), 4, start_step=1,
                    init_params=wide)
+
+
+@pytest.mark.parametrize("rebuild", [
+    # feature rows one column short of the run's feature_dim
+    lambda g, e: EgoNet(e.ego.center, e.ego.depth, np.array(e.ego.nodes),
+                        e.ego.edges, e.ego.features[:, :3].copy()),
+    # frozen at depth 1 for a 2-layer model
+    lambda g, e: freeze_ego(g, e.ego.center, 1),
+], ids=["feature_width", "depth"])
+def test_continuation_refuses_a_memory_entry_that_does_not_fit(rng, rebuild):
+    deltas = random_stream(rng, 2, 10, 0.3, 4)
+    params, mem, _ = run_stream("continual", deltas[:1], small_cfg(), 4)
+    g0 = GraphState.empty(4).apply_delta(deltas[0])
+    label = min(k for k in mem.entries if mem.entries[k])
+    entry = mem.entries[label][0]
+    mem.entries[label][0] = MemoryEntry(rebuild(g0, entry), label, entry.step)
+    with pytest.raises(ValueError, match="center %d and label %d"
+                       % (entry.ego.center, label)):
+        run_stream("continual", deltas, small_cfg(), 4, start_step=1,
+                   init_params=params, init_mem=mem)
 
 
 def test_unknown_model_rejected():
