@@ -93,7 +93,7 @@ def _propagation_run(view, seeds, depth, include_self):
     region = sorted(l_hop_set(view, seeds, depth))
     plan = prepare_batch(1, [(view, v) for v in region])
     A = plan.mats[1].tocoo()
-    nodes = np.array([u for _vid, u in plan.keys[0]])[A.col]
+    nodes = plan.keys[0][A.col, 1]
     cols = np.searchsorted(region, nodes)
     keep = np.isin(nodes, region)
     if include_self:

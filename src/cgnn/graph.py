@@ -115,6 +115,10 @@ class GraphState:
     def feature_row(self, v):
         return self._features[v]
 
+    def feature_rows(self, nodes):
+        """The feature rows of an int array of nodes, as a new block."""
+        return self._features[nodes]
+
     def feature_matrix(self):
         return self._features
 
@@ -231,11 +235,11 @@ class EgoNet:
     read-only feature block in nodes order, whose rows the checkpoint
     shares with other entries. Later stream updates cannot
     change what a replay entry trains on. Exposes the live snapshot's
-    neighbors and feature_row reads, which a forward pass needs.
+    neighbors and feature_row(s) reads, which a forward pass needs.
     """
 
     __slots__ = ("center", "depth", "nodes", "edges", "features",
-                 "_adj", "_row")
+                 "_adj", "_ids")
 
     def __init__(self, center, depth, nodes, edges, features):
         self.center = center
@@ -252,13 +256,17 @@ class EgoNet:
         nbrs = both[:, 1].tolist()
         self._adj = {v: tuple(nbrs[a:b])
                      for v, a, b in zip(self.nodes, lo, hi)}
-        self._row = {v: i for i, v in enumerate(self.nodes)}
+        self._ids = nodes
 
     def neighbors(self, v):
         return self._adj[v]
 
     def feature_row(self, v):
-        return self.features[self._row[v]]
+        return self.features[self._ids.searchsorted(v)]
+
+    def feature_rows(self, nodes):
+        """The feature rows of an int array of members, as a new block."""
+        return self.features[self._ids.searchsorted(nodes)]
 
 
 def freeze_ego(view, center, depth):

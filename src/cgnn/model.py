@@ -100,65 +100,119 @@ def zero_grads(params):
 class BatchPlan:
     """Frozen sampling plan for repeated passes over one batch.
 
-    Everything parameter-independent is precomputed: the (view id, node)
-    keys of each level, per-layer aggregation matrices, the input feature
-    block and the output row order. Build once per training step, then run
-    any number of forward/backward passes against changing parameters.
+    Everything parameter-independent is computed once, so a training step
+    builds a plan per batch and runs any number of forward/backward passes
+    against changing parameters:
+
+    - keys[l]: the distinct (view index, node) keys layer l computes, as
+      rows of an int64 array; views are indexed in first-seen order.
+    - mats[l] and mats_t[l]: each layer's aggregation matrix and, from
+      layer 2 up, its transpose, which the backward pass multiplies.
+    - row_of: the top-level row of each batch pair; perm says whether it
+      is a permutation, so that scattering onto the rows needs no add.
+    - first: layer 1's aggregated input, mats[1] @ the feature rows of
+      keys[0], made by the first forward pass. Until then the plan holds
+      its views to gather the rows from; it never keeps the rows.
+    - labels: the batch's label array, set and range checked by the first
+      loss computed on the plan.
     """
 
-    __slots__ = ("keys", "mats", "inputs", "row_of")
+    __slots__ = ("keys", "mats", "mats_t", "row_of", "perm", "views",
+                 "first", "labels")
 
-    def __init__(self, keys, mats, inputs, row_of):
+    def __init__(self, keys, mats, row_of, views):
         self.keys = keys
         self.mats = mats
-        self.inputs = inputs
+        self.mats_t = [None, None] + [m.T for m in mats[2:]]
         self.row_of = row_of
+        self.perm = len(row_of) == len(keys[-1])
+        self.views = views
+        self.first = None
+        self.labels = None
+
+    def feature_rows(self):
+        """The feature rows of keys[0], gathered by one index per view."""
+        vis, nodes = self.keys[0][:, 0], self.keys[0][:, 1]
+        if len(self.views) == 1:
+            return self.views[0].feature_rows(nodes)
+        order = np.argsort(vis, kind="stable")
+        bounds = np.searchsorted(vis[order], np.arange(len(self.views) + 1))
+        blocks = np.concatenate([
+            view.feature_rows(nodes[order[lo:hi]])
+            for view, lo, hi in zip(self.views, bounds[:-1], bounds[1:])])
+        rows = np.empty_like(blocks)
+        rows[order] = blocks
+        return rows
+
+    def first_mean(self):
+        if self.first is None:
+            self.first = self.mats[1] @ self.feature_rows()
+            self.first.setflags(write=False)
+            self.views = None
+        return self.first
+
+
+# A key code holds the view index above these bits and the node below.
+_NODE_BITS = 32
+_NODE_MASK = (1 << _NODE_BITS) - 1
+
+
+def _first_seen(codes):
+    """The distinct codes in first-seen order, and each code's index among
+    them."""
+    distinct, first, inverse = np.unique(codes, return_index=True,
+                                         return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return distinct[order], rank[inverse.ravel()]
 
 
 def prepare_batch(layer_count, pairs, fanout=None, rng=None):
     """Sample neighborhoods for a batch once and freeze them as a BatchPlan.
 
-    keys[l] lists the distinct (view id, node) keys layer l computes, in
-    first-seen order; keys[0] are the feature rows. Row i of mats[l] averages
-    key i's members, itself plus its sampled neighbors, over the rows of
-    level l - 1. Members are visited by node id, so the output does not
-    depend on the order a view reports neighbors in, and each row's columns
-    are stored sorted, the order the sparse product sums in.
+    keys[l] lists the distinct (view index, node) keys layer l computes, in
+    first-seen order; keys[0] are the feature rows. Row i of mats[l]
+    averages key i's members, itself plus its sampled neighbors, over the
+    rows of level l - 1. Members are visited by node id, so the output does
+    not depend on the order a view reports neighbors in, and each row's
+    columns are stored sorted, the order the sparse product sums in.
     """
     if fanout is not None and rng is None:
         raise ModelError("sampled forward needs an rng")
     if not pairs:
         raise ModelError("empty batch")
-    views = {id(view): view for view, _node in pairs}
-    keyed = [(id(view), node) for view, node in pairs]
-    level = {}
-    row_of = [level.setdefault(key, len(level)) for key in keyed]
+    views = list({id(view): view for view, _node in pairs}.values())
+    index = {id(view): i for i, view in enumerate(views)}
+    codes, row_of = _first_seen(np.array(
+        [index[id(view)] << _NODE_BITS | node for view, node in pairs],
+        dtype=np.int64))
     keys = [None] * (layer_count + 1)
     mats = [None] * (layer_count + 1)
     for l in range(layer_count, 0, -1):
-        keys[l] = list(level)
-        below = {}
+        keys[l] = codes
         counts = []
-        cols = []
-        for vid, u in keys[l]:
-            nbrs = views[vid].neighbors(u)
+        members = []
+        for code in codes.tolist():
+            u = code & _NODE_MASK
+            nbrs = views[code >> _NODE_BITS].neighbors(u)
             if fanout is not None and len(nbrs) > fanout:
                 nbrs = [nbrs[i] for i in rng.permutation(len(nbrs))[:fanout]]
-            members = sorted({u, *nbrs})
-            counts.append(len(members))
-            cols.extend(below.setdefault((vid, m), len(below))
-                        for m in members)
+            group = sorted({u, *nbrs})
+            counts.append(len(group))
+            members.extend(group)
         counts = np.array(counts)
+        codes, cols = _first_seen(
+            np.repeat(codes & ~_NODE_MASK, counts)
+            | np.array(members, dtype=np.int64))
         mats[l] = sparse.csr_matrix(
             (np.repeat(1.0 / counts, counts), cols,
              np.concatenate(([0], np.cumsum(counts)))),
-            shape=(len(counts), len(below)))
+            shape=(len(counts), len(codes)))
         mats[l].sort_indices()
-        level = below
-    keys[0] = list(level)
-    inputs = np.array([views[vid].feature_row(u) for vid, u in keys[0]],
-                      dtype=np.float64)
-    return BatchPlan(keys, mats, inputs, row_of)
+    keys[0] = codes
+    keys = [np.stack([c >> _NODE_BITS, c & _NODE_MASK], axis=1) for c in keys]
+    return BatchPlan(keys, mats, row_of, views)
 
 
 def _layers(params, plan):
@@ -166,14 +220,15 @@ def _layers(params, plan):
 
     Returns (H, means, preacts): the top level's representations plus the
     aggregated input and pre-activation of each layer, which the backward
-    pass reads. Layers below the network's last apply the activation.
+    pass reads. Layers below the network's last apply the activation. A
+    plan of depth 0 gives its feature rows.
     """
     depth = len(plan.mats) - 1
     means = [None] * (depth + 1)
     preacts = [None] * (depth + 1)
-    H = plan.inputs
+    H = plan.feature_rows() if depth == 0 else None
     for l in range(1, depth + 1):
-        agg = plan.mats[l] @ H
+        agg = plan.first_mean() if l == 1 else plan.mats[l] @ H
         w = params.weights[l - 1]
         Z = agg @ w[:-1] + w[-1]
         means[l] = agg
@@ -183,6 +238,22 @@ def _layers(params, plan):
         else:
             H = Z
     return H, means, preacts
+
+
+def _backprop(params, plan, preacts, dZ):
+    """Walk the layers from the output down, starting from dZ, the
+    gradient at the top layer's pre-activation with one row per top-level
+    key. Yields (l, dZ) for l = L, ..., 1, where dZ holds the gradient at
+    layer l's pre-activation, one row per key of level l.
+    """
+    for l in range(params.layer_count, 0, -1):
+        yield l, dZ
+        if l > 1:
+            dH = plan.mats_t[l] @ (dZ @ params.weights[l - 1][:-1].T)
+            if params.activation == "relu":
+                dZ = dH * (preacts[l - 1] > 0.0)
+            else:
+                dZ = dH
 
 
 def forward_batch(params, pairs, fanout=None, rng=None, upto=None):
@@ -218,39 +289,52 @@ def predict_batch(params, pairs):
     return softmax(H)
 
 
-def _batch_loss(params, batch, fanout, rng, with_grad, plan=None):
-    pairs = [(view, node) for view, node, _lab in batch]
+def _labels(batch, out_dim):
     labels = np.array([lab for _v, _n, lab in batch], dtype=np.int64)
-    if labels.min() < 0 or labels.max() >= params.out_dim:
+    if labels.min() < 0 or labels.max() >= out_dim:
         raise ModelError("label outside the classifier range")
-    if plan is None:
-        plan = prepare_batch(params.layer_count, pairs, fanout, rng)
-    H, means, preacts = _layers(params, plan)
-    H = H[plan.row_of]
+    return labels
 
+
+def _output_grad(H, labels, with_grad=True):
+    """Cross entropy of each row of logits H at its label and, with_grad,
+    its gradient with respect to H (else None)."""
     shifted = H - H.max(axis=1, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=1))
     logp = shifted - lse[:, None]
-    losses = -logp[np.arange(len(batch)), labels]
+    rows = np.arange(len(labels))
+    losses = -logp[rows, labels]
+    if not with_grad:
+        return losses, None
+    G = np.exp(logp)
+    G[rows, labels] -= 1.0
+    return losses, G
+
+
+def _batch_loss(params, batch, fanout, rng, with_grad, plan=None):
+    if plan is None or plan.labels is None:
+        labels = _labels(batch, params.out_dim)
+        if plan is None:
+            plan = prepare_batch(params.layer_count,
+                                 [(view, node) for view, node, _lab in batch],
+                                 fanout, rng)
+        plan.labels = labels
+    H, means, preacts = _layers(params, plan)
+    losses, G = _output_grad(H[plan.row_of], plan.labels, with_grad)
     if not with_grad:
         return losses, None
 
-    L = params.layer_count
-    G = np.exp(logp)
-    G[np.arange(len(batch)), labels] -= 1.0
-    dZ = np.zeros((len(plan.keys[L]), params.out_dim), dtype=np.float64)
-    np.add.at(dZ, plan.row_of, G * (1.0 / len(batch)))
-
+    G *= 1.0 / len(batch)
+    if plan.perm:
+        dZ = np.empty_like(G)
+        dZ[plan.row_of] = G
+    else:
+        dZ = np.zeros((len(plan.keys[-1]), params.out_dim), dtype=np.float64)
+        np.add.at(dZ, plan.row_of, G)
     grads = zero_grads(params)
-    for l in range(L, 0, -1):
+    for l, dZ in _backprop(params, plan, preacts, dZ):
         grads[l - 1][:-1] += means[l].T @ dZ
         grads[l - 1][-1] += dZ.sum(axis=0)
-        if l > 1:
-            dH = plan.mats[l].T @ (dZ @ params.weights[l - 1][:-1].T)
-            if params.activation == "relu":
-                dZ = dH * (preacts[l - 1] > 0.0)
-            else:
-                dZ = dH
     return losses, grads
 
 

@@ -204,6 +204,9 @@ class ShuffledView:
     def feature_row(self, v):
         return self._state.feature_row(v)
 
+    def feature_rows(self, nodes):
+        return self._state.feature_rows(nodes)
+
     def label(self, v):
         return self._state.label(v)
 
