@@ -137,11 +137,13 @@ class BatchPlan:
             return self.views[0].feature_rows(nodes)
         order = np.argsort(vis, kind="stable")
         bounds = np.searchsorted(vis[order], np.arange(len(self.views) + 1))
-        blocks = np.concatenate([
-            view.feature_rows(nodes[order[lo:hi]])
-            for view, lo, hi in zip(self.views, bounds[:-1], bounds[1:])])
-        rows = np.empty_like(blocks)
-        rows[order] = blocks
+        rows = None
+        for view, lo, hi in zip(self.views, bounds[:-1], bounds[1:]):
+            at = order[lo:hi]
+            block = view.feature_rows(nodes[at])
+            if rows is None:
+                rows = np.empty((len(nodes), block.shape[1]))
+            rows[at] = block
         return rows
 
     def first_mean(self):

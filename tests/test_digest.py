@@ -70,11 +70,11 @@ GOLDEN = {
 
 # name -> SHA-256 of the run's final weights (activation, shapes, bytes)
 WEIGHTS_GOLDEN = {
-    "continual": "644db81c4c870d8249af68bf2220dd12f62af824afd5b2c6bebaf3a2bd6d854d",
-    "continual-hierarchical": "cd2414d6a14418c69aac6859a5661f678c3c1012beca43e6c44118ed3b790fea",
+    "continual": "5cce9879d084b7897434024f51d0bc611dff539510349f58e2d58143cfb7e3ad",
+    "continual-hierarchical": "d806762ab89c8ff006b62f52ebdb1db44855bce9c479407a3705278694562546",
     "continual-l2": "52a4972152ec9f4c9ea40aacf66334aa3a95443d595d686036e3e1c21b3b3b45",
-    "continual-random": "d9db158accede34956e4bb9af618e8f8124a5147c55b3a9b376dfe71c96278f1",
-    "continual-stepwise": "2e89f83fb6ca2183859e0ac9441101d2172c2d0f95f852a5bfbd0368c49b93cc",
+    "continual-random": "cc43ff12f37164cf1139dc703403f71c46ea4190e34494ce08aa8b5c056a026d",
+    "continual-stepwise": "0a8dbd37ccaedfd4cd34d9364b7244ae11828d8de3b90ce50b19c71e5c806623",
     "online": "8da37612219b29eb2d86587354640ef9c57603a5576f93435cd4de32ca0871a2",
     "online-detector": "fbc87be0a3f847dc473ebc712642d00fd848bde1896827007d24e1b1ef123b16",
     "pretrained": "af4e77c17f656f4c7101f27cc96a14c8afc3ae11848382d0069ca079c0d11954",
@@ -95,7 +95,7 @@ MEMORY_GOLDEN = {
 
 # every array of the continual run's per-step .ckpt and .mem files
 CHECKPOINT_GOLDEN = (
-    "ac417db3fcdda5d5261da05ef7ebb0b4d5df460c999687cf48653691afee68f7")
+    "f289488fa30f70225df0ea4b653aabae76a55d2e2149620b6654db07cc7717e9")
 
 
 def _spec(out_dir, model="continual", **overrides):

@@ -3,7 +3,8 @@ import pytest
 
 from cgnn.ewc import (FisherDiag, estimate_fisher, ewc_penalty,
                       uniform_importance)
-from cgnn.memory import ReplayMemory, replay_batch, update_memory
+from cgnn.graph import SnapshotDelta
+from cgnn.memory import MemoryEntry, ReplayMemory, replay_batch, update_memory
 from cgnn.model import GnnParams, loss_and_grad, zero_grads
 
 from conftest import make_graph
@@ -42,6 +43,48 @@ def test_fisher_matches_per_entry_accumulation(rng):
         assert np.allclose(got, acc / len(batch), rtol=1e-12, atol=1e-15)
         assert np.array_equal(anchor, w)
     assert all(np.all(v >= 0) for v in fisher.values)
+
+
+def mixed_memory(rng, depth, dim=3):
+    """Every node of a sparse graph plus one isolated node, frozen at the
+    given depth: ego-nets of unequal size, one of them a lone center."""
+    g, _ = make_graph(rng, 11, 0.2, dim, classes=3)
+    g = g.apply_delta(SnapshotDelta(time=1,
+                                    new_nodes=((11, rng.random(dim), 1),)))
+    mem = ReplayMemory(capacity=12, strategy="random")
+    return update_memory(mem, range(12), g, depth, rng)
+
+
+@pytest.mark.parametrize("layers,activation", [
+    (1, "relu"), (2, "relu"), (2, "linear"), (3, "relu"), (3, "linear")])
+def test_fisher_matches_per_entry_loop_on_unequal_ego_nets(rng, layers,
+                                                           activation):
+    mem = mixed_memory(rng, layers)
+    batch = replay_batch(mem)
+    sizes = [len(ego.nodes) for ego, _c, _lab in batch]
+    assert len(batch) == 12 and min(sizes) == 1 and len(set(sizes)) > 2
+    p = GnnParams.init(3, 5, 3, layers, activation, rng=rng)
+    for w in p.weights:
+        w[-1] = rng.normal(size=w.shape[1])
+    want = zero_grads(p)
+    for ego, center, lab in batch:
+        _, grads = loss_and_grad(p, [(ego, center, lab)])
+        for acc, g_ in zip(want, grads):
+            acc += g_ * g_
+    fisher = estimate_fisher(p, mem)
+    for acc, got in zip(want, fisher.values):
+        assert np.allclose(got, acc / len(batch), rtol=1e-12, atol=1e-15)
+    assert all(v.any() for v in fisher.values)
+
+
+def test_fisher_refuses_entries_that_share_a_view(rng):
+    g, mem = build_memory(rng)
+    p = GnnParams.init(3, 4, 2, rng=rng)
+    label = min(k for k in mem.entries if mem.entries[k])
+    first = mem.entries[label][0]
+    mem.entries[label].append(MemoryEntry(first.ego, label, first.step))
+    with pytest.raises(ValueError, match="share a view"):
+        estimate_fisher(p, mem)
 
 
 def test_fisher_anchor_is_a_copy(rng):

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from cgnn.graph import GraphState, SnapshotDelta
+from cgnn.graph import GraphState, SnapshotDelta, freeze_ego
 from cgnn.model import (GnnParams, ModelError, forward_batch, load_params,
-                        loss_and_grad, loss_only, predict_batch, save_params,
-                        sgd_step, softmax)
+                        loss_and_grad, loss_only, predict_batch,
+                        prepare_batch, save_params, sgd_step, softmax)
 
 from conftest import make_graph
 from helpers import forward, grad_check, predict
@@ -341,3 +341,60 @@ def test_forward_upto_is_last_hidden_layer(rng):
     p1 = GnnParams.init(3, 6, 2, layers=1, rng=rng)
     got1, _ = forward_batch(p1, [(g, 4)], upto=0)
     assert np.array_equal(got1[0], g.feature_row(4))
+
+
+def mixed_batch(rng):
+    """Triples over a snapshot and two ego-nets frozen before it rewrote
+    their centers' features: one node id in two views, with different
+    feature rows."""
+    g, _ = make_graph(rng, 14, 0.35, 3)
+    egos = [freeze_ego(g, v, 2) for v in (3, 8)]
+    g2 = g.apply_delta(SnapshotDelta(
+        time=1, attr_changes=((3, rng.random(3)), (8, rng.random(3)))))
+    return [(g2, 1, 0), (egos[0], 3, 1), (g2, 3, 0), (egos[1], 8, 0),
+            (g2, 9, 1)]
+
+
+@pytest.mark.parametrize("repeat", [False, True], ids=["distinct", "repeated"])
+def test_frozen_plan_matches_fresh_plans_bitwise(rng, repeat):
+    batch = mixed_batch(rng)
+    if repeat:
+        batch += batch[:2]
+    p = GnnParams.init(3, 4, 2, rng=rng)
+    q = p.copy()
+    for w in q.weights:
+        w += rng.normal(scale=0.3, size=w.shape)
+    plan = prepare_batch(2, [(view, v) for view, v, _lab in batch],
+                         fanout=2, rng=np.random.default_rng(5))
+    assert plan.perm != repeat
+    for params in (p, q, p):
+        got = loss_and_grad(params, batch, plan=plan)
+        want = loss_and_grad(params, batch, fanout=2,
+                             rng=np.random.default_rng(5))
+        assert np.array_equal(got[0], want[0])
+        for a, b in zip(got[1], want[1]):
+            assert np.array_equal(a, b)
+    assert plan.views is None and not plan.first.flags.writeable
+
+
+def test_gradients_match_finite_differences_on_a_reused_plan(rng):
+    batch = mixed_batch(rng)
+    p = GnnParams.init(3, 4, 2, rng=rng)
+    q = p.copy()
+    q.weights[0] += 0.3
+    plan = prepare_batch(2, [(view, v) for view, v, _lab in batch],
+                         fanout=2, rng=np.random.default_rng(99))
+    loss_and_grad(q, batch, plan=plan)
+    _, grads = loss_and_grad(p, batch, plan=plan)
+    assert grad_check(p, batch, eps=1e-5, fanout=2, seed=99,
+                      grads=grads) < 1e-4
+
+
+def test_forward_upto_zero_gives_each_views_raw_rows(rng):
+    pairs = [(view, v) for view, v, _lab in mixed_batch(rng)]
+    pairs.append(pairs[0])
+    p = GnnParams.init(3, 4, 2, rng=rng)
+    got, _ = forward_batch(p, pairs, upto=0)
+    want = np.array([view.feature_row(v) for view, v in pairs])
+    assert np.array_equal(got, want)
+    assert not np.array_equal(got[1], got[2])  # node 3, frozen and live
