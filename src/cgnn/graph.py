@@ -272,18 +272,24 @@ class EgoNet:
 def freeze_ego(view, center, depth):
     """Copy the center's depth-hop neighborhood out of a live snapshot.
 
-    Every edge between two members is kept, including those between two
-    boundary nodes (depth hops out). A forward pass of depth layers never
-    reads those: it reads the neighbors only of nodes within depth - 1 hops.
+    The members are the nodes within depth hops. A forward pass of depth
+    layers reads the neighbors only of the members within depth - 1 hops,
+    the inner ones, so only the edges with an inner endpoint are kept: an
+    inner member keeps all its neighbors, a boundary member only its inner
+    ones.
     """
-    nodes = np.array(sorted(l_hop_set(view, [center], depth)), dtype=np.int64)
-    rows = [view.neighbors(v) for v in nodes.tolist()]
-    src = np.repeat(nodes, [len(r) for r in rows])
+    inner = np.array(sorted(l_hop_set(view, [center], depth - 1))
+                     if depth else [], dtype=np.int64)
+    rows = [view.neighbors(v) for v in inner.tolist()]
+    src = np.repeat(inner, [len(r) for r in rows])
     dst = np.fromiter(chain.from_iterable(rows), np.int64, len(src))
-    keep = (src < dst) & np.isin(dst, nodes)
-    return EgoNet(center, depth, nodes,
-                  np.stack([src[keep], dst[keep]], axis=1),
-                  view.feature_matrix()[nodes])
+    # an edge between two inner members is listed from both ends
+    keep = (src < dst) | ~np.isin(dst, inner)
+    edges = np.stack([np.minimum(src, dst)[keep],
+                      np.maximum(src, dst)[keep]], axis=1)
+    edges = edges[np.lexsort((edges[:, 1], edges[:, 0]))]
+    nodes = np.union1d([center], dst)
+    return EgoNet(center, depth, nodes, edges, view.feature_matrix()[nodes])
 
 
 # ---------------------------------------------------------------------------

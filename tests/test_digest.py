@@ -95,7 +95,7 @@ MEMORY_GOLDEN = {
 
 # every array of the continual run's per-step .ckpt and .mem files
 CHECKPOINT_GOLDEN = (
-    "f289488fa30f70225df0ea4b653aabae76a55d2e2149620b6654db07cc7717e9")
+    "8ce643acc9cda87f2e9aa096ae632309b106c654e1bb1ea2c7e009df3d95a838")
 
 
 def _spec(out_dir, model="continual", **overrides):

@@ -196,10 +196,14 @@ def test_freeze_ego_contents_and_independence(rng):
     ego = freeze_ego(g, 4, 2)
     assert ego.center == 4
     assert set(ego.nodes) == l_hop_set(g, [4], 2)
+    # the edges a forward pass reads: those with an endpoint within 1 hop
+    inner = l_hop_set(g, [4], 1)
     for v in ego.nodes:
-        want = [u for u in g.neighbors(v) if u in set(ego.nodes)]
+        want = [u for u in g.neighbors(v) if v in inner or u in inner]
         assert list(ego.neighbors(v)) == want
         assert np.array_equal(ego.feature_row(v), g.feature_row(v))
+    boundary = set(ego.nodes) - inner
+    assert any(u in boundary for v in boundary for u in g.neighbors(v))
     # the arrays a memory checkpoint stores
     assert list(ego.nodes) == sorted(ego.nodes)
     assert ego.edges.shape[1] == 2 and (ego.edges[:, 0] < ego.edges[:, 1]).all()
