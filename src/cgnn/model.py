@@ -100,21 +100,15 @@ def zero_grads(params):
 class BatchPlan:
     """Frozen sampling plan for repeated passes over one batch.
 
-    Everything parameter-independent is computed once, so a training step
-    builds a plan per batch and runs any number of forward/backward passes
-    against changing parameters:
-
-    - keys[l]: the distinct (view index, node) keys layer l computes, as
-      rows of an int64 array; views are indexed in first-seen order.
-    - mats[l] and mats_t[l]: each layer's aggregation matrix and, from
-      layer 2 up, its transpose, which the backward pass multiplies.
-    - row_of: the top-level row of each batch pair; perm says whether it
-      is a permutation, so that scattering onto the rows needs no add.
-    - first: layer 1's aggregated input, mats[1] @ the feature rows of
-      keys[0], made by the first forward pass. Until then the plan holds
-      its views to gather the rows from; it never keeps the rows.
-    - labels: the batch's label array, set and range checked by the first
-      loss computed on the plan.
+    Everything parameter-independent is made once, so a training step
+    builds a plan per batch and runs any number of passes against changing
+    parameters. keys[l] holds the (view index, node) rows layer l computes,
+    mats[l] its aggregation matrix and mats_t[l] (l >= 2) the transpose
+    the backward pass multiplies. row_of maps the batch pairs onto the top
+    rows; perm says whether it is a permutation. first, layer 1's
+    aggregated input, is made by the first forward pass from the views'
+    feature rows, which the plan never keeps. labels is set and range
+    checked by the first loss computed on the plan.
     """
 
     __slots__ = ("keys", "mats", "mats_t", "row_of", "perm", "views",
