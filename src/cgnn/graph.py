@@ -262,11 +262,17 @@ class EgoNet:
         return self._adj[v]
 
     def feature_row(self, v):
-        return self.features[self._ids.searchsorted(v)]
+        return self.features[self._index(v)]
 
     def feature_rows(self, nodes):
         """The feature rows of an int array of members, as a new block."""
-        return self.features[self._ids.searchsorted(nodes)]
+        return self.features[self._index(nodes)]
+
+    def _index(self, nodes):
+        at = self._ids.searchsorted(nodes)
+        if not np.array_equal(self._ids.take(at, mode="clip"), nodes):
+            raise KeyError("not a member of the ego-net of %d" % self.center)
+        return at
 
 
 def freeze_ego(view, center, depth):

@@ -204,6 +204,9 @@ def test_freeze_ego_contents_and_independence(rng):
         assert np.array_equal(ego.feature_row(v), g.feature_row(v))
     boundary = set(ego.nodes) - inner
     assert any(u in boundary for v in boundary for u in g.neighbors(v))
+    outside = min(set(range(g.n)) - set(ego.nodes))
+    with pytest.raises(KeyError):
+        ego.feature_rows(np.array([ego.center, outside]))
     # the arrays a memory checkpoint stores
     assert list(ego.nodes) == sorted(ego.nodes)
     assert ego.edges.shape[1] == 2 and (ego.edges[:, 0] < ego.edges[:, 1]).all()
