@@ -4,17 +4,15 @@ The importance of each weight entry is the mean squared per-node gradient of
 the stored examples' log losses at their stored labels. Weights that mattered
 for remembered patterns get stiff, the rest stay free to move.
 
-The per-node gradients come from one batched pass over the whole memory.
-Each entry is its own frozen view, so its rows form one contiguous run at
-every level of the batch's plan, and its gradient is a segment sum over
-that run (Goodfellow, arXiv 1510.01799; BackPACK, arXiv 1912.10985).
+The per-node gradients come from one batched pass over the whole memory,
+model.squared_view_grads: each entry is its own frozen view, so its gradient
+is a segment sum over its rows of the batch's plan.
 """
 
 import numpy as np
 
 from .memory import replay_batch
-from .model import (_backprop, _labels, _layers, _output_grad, prepare_batch,
-                    zero_grads)
+from .model import squared_view_grads, zero_grads
 
 
 class FisherDiag:
@@ -28,38 +26,17 @@ class FisherDiag:
 
 
 def estimate_fisher(params, mem):
-    """Empirical squared-gradient diagonal over the memory's entries.
-
-    One full-neighborhood plan covers every entry, and one forward and one
-    backward pass over it give each layer's aggregated inputs means[l] and
-    pre-activation gradients dZ. Entry i's gradient of layer l is
-    means[l][run]^T dZ[run] over its rows of level l, and dZ[run] summed
-    for the bias; its square is added in entry order. Entries that share a
-    view would share rows, so they are refused. An empty memory yields
-    all-zero importance, which makes the penalty inert rather than an
-    error.
+    """Empirical squared-gradient diagonal over the memory's entries: the
+    mean over entries of each entry's squared log-loss gradient, from one
+    batched pass (model.squared_view_grads). Entries that share a view
+    are refused. An empty memory yields all-zero importance, which makes
+    the penalty inert rather than an error.
     """
     anchor = params.copy()
-    values = zero_grads(params)
     entries = replay_batch(mem)
     if not entries:
-        return FisherDiag(values, anchor)
-    if len({id(ego) for ego, _node, _lab in entries}) < len(entries):
-        raise ValueError("two memory entries share a view")
-    plan = prepare_batch(params.layer_count,
-                         [(ego, node) for ego, node, _lab in entries])
-    H, means, preacts = _layers(params, plan)
-    # one view per entry: the top level's rows are the entries, in order
-    _, G = _output_grad(H, _labels(entries, params.out_dim))
-    starts = np.arange(len(entries) + 1)
-    for l, dZ in _backprop(params, plan, preacts, G):
-        bounds = np.searchsorted(plan.keys[l][:, 0], starts).tolist()
-        acc = values[l - 1]
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            g = means[l][lo:hi].T @ dZ[lo:hi]
-            acc[:-1] += g * g
-            b = dZ[lo:hi].sum(axis=0)
-            acc[-1] += b * b
+        return FisherDiag(zero_grads(params), anchor)
+    values = squared_view_grads(params, entries)
     for acc in values:
         acc /= len(entries)
     return FisherDiag(values, anchor)

@@ -102,33 +102,24 @@ class BatchPlan:
 
     Everything parameter-independent is made once, so a training step
     builds a plan per batch and runs any number of passes against changing
-    parameters. keys[l] holds the (view index, node) rows layer l computes,
-    mats[l] its aggregation matrix and mats_t[l] (l >= 2) the transpose
-    the backward pass multiplies. row_of maps the batch pairs onto the top
-    rows; perm says whether it is a permutation. first, layer 1's
-    aggregated input, is made by the first forward pass from the views'
-    feature rows, which the plan never keeps. labels is set and range
-    checked by the first loss computed on the plan.
+    parameters. keys[l] holds the (view index, node) rows layer l computes
+    and mats[l] its aggregation matrix; row_of maps the batch pairs onto
+    the top rows. first, layer 1's aggregated input, is made by the first
+    forward pass from the views' feature rows, which the plan never keeps.
     """
 
-    __slots__ = ("keys", "mats", "mats_t", "row_of", "perm", "views",
-                 "first", "labels")
+    __slots__ = ("keys", "mats", "row_of", "views", "first")
 
     def __init__(self, keys, mats, row_of, views):
         self.keys = keys
         self.mats = mats
-        self.mats_t = [None, None] + [m.T for m in mats[2:]]
         self.row_of = row_of
-        self.perm = len(row_of) == len(keys[-1])
         self.views = views
         self.first = None
-        self.labels = None
 
     def feature_rows(self):
         """The feature rows of keys[0], gathered by one index per view."""
         vis, nodes = self.keys[0][:, 0], self.keys[0][:, 1]
-        if len(self.views) == 1:
-            return self.views[0].feature_rows(nodes)
         order = np.argsort(vis, kind="stable")
         bounds = np.searchsorted(vis[order], np.arange(len(self.views) + 1))
         rows = None
@@ -245,7 +236,7 @@ def _backprop(params, plan, preacts, dZ):
     for l in range(params.layer_count, 0, -1):
         yield l, dZ
         if l > 1:
-            dH = plan.mats_t[l] @ (dZ @ params.weights[l - 1][:-1].T)
+            dH = plan.mats[l].T @ (dZ @ params.weights[l - 1][:-1].T)
             if params.activation == "relu":
                 dZ = dH * (preacts[l - 1] > 0.0)
             else:
@@ -308,25 +299,19 @@ def _output_grad(H, labels, with_grad=True):
 
 
 def _batch_loss(params, batch, fanout, rng, with_grad, plan=None):
-    if plan is None or plan.labels is None:
-        labels = _labels(batch, params.out_dim)
-        if plan is None:
-            plan = prepare_batch(params.layer_count,
-                                 [(view, node) for view, node, _lab in batch],
-                                 fanout, rng)
-        plan.labels = labels
+    labels = _labels(batch, params.out_dim)
+    if plan is None:
+        plan = prepare_batch(params.layer_count,
+                             [(view, node) for view, node, _lab in batch],
+                             fanout, rng)
     H, means, preacts = _layers(params, plan)
-    losses, G = _output_grad(H[plan.row_of], plan.labels, with_grad)
+    losses, G = _output_grad(H[plan.row_of], labels, with_grad)
     if not with_grad:
         return losses, None
 
     G *= 1.0 / len(batch)
-    if plan.perm:
-        dZ = np.empty_like(G)
-        dZ[plan.row_of] = G
-    else:
-        dZ = np.zeros((len(plan.keys[-1]), params.out_dim), dtype=np.float64)
-        np.add.at(dZ, plan.row_of, G)
+    dZ = np.zeros((len(plan.keys[-1]), params.out_dim), dtype=np.float64)
+    np.add.at(dZ, plan.row_of, G)
     grads = zero_grads(params)
     for l, dZ in _backprop(params, plan, preacts, dZ):
         grads[l - 1][:-1] += means[l].T @ dZ
@@ -348,6 +333,39 @@ def loss_only(params, batch, fanout=None, rng=None, plan=None):
     """Mean cross entropy, without the gradient."""
     return float(_batch_loss(params, batch, fanout, rng, with_grad=False,
                              plan=plan)[0].mean())
+
+
+def squared_view_grads(params, batch):
+    """Sum over (view, node, label) triples, one per view, of the squared
+    gradient of each triple's own cross entropy, per weight entry.
+
+    One full-neighborhood plan covers the batch, and one forward and one
+    backward pass over it give each layer's aggregated inputs means[l] and
+    pre-activation gradients dZ. With one triple per view, triple i's rows
+    form one contiguous run of every level, so its gradient of layer l is
+    means[l][run]^T dZ[run], and dZ[run] summed for the bias (Goodfellow,
+    arXiv 1510.01799; BackPACK, arXiv 1912.10985). The squares are added in
+    batch order. Triples that share a view would share rows, so they are
+    refused.
+    """
+    if len({id(view) for view, _node, _lab in batch}) < len(batch):
+        raise ModelError("two triples share a view")
+    plan = prepare_batch(params.layer_count,
+                         [(view, node) for view, node, _lab in batch])
+    H, means, preacts = _layers(params, plan)
+    # one view per triple: the top level's rows are the triples, in order
+    _, G = _output_grad(H, _labels(batch, params.out_dim))
+    sums = zero_grads(params)
+    starts = np.arange(len(batch) + 1)
+    for l, dZ in _backprop(params, plan, preacts, G):
+        bounds = np.searchsorted(plan.keys[l][:, 0], starts).tolist()
+        acc = sums[l - 1]
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            g = means[l][lo:hi].T @ dZ[lo:hi]
+            acc[:-1] += g * g
+            b = dZ[lo:hi].sum(axis=0)
+            acc[-1] += b * b
+    return sums
 
 
 def sgd_step(params, grads, lr):

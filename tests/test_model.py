@@ -366,7 +366,6 @@ def test_frozen_plan_matches_fresh_plans_bitwise(rng, repeat):
         w += rng.normal(scale=0.3, size=w.shape)
     plan = prepare_batch(2, [(view, v) for view, v, _lab in batch],
                          fanout=2, rng=np.random.default_rng(5))
-    assert plan.perm != repeat
     for params in (p, q, p):
         got = loss_and_grad(params, batch, plan=plan)
         want = loss_and_grad(params, batch, fanout=2,
@@ -375,6 +374,21 @@ def test_frozen_plan_matches_fresh_plans_bitwise(rng, repeat):
         for a, b in zip(got[1], want[1]):
             assert np.array_equal(a, b)
     assert plan.views is None and not plan.first.flags.writeable
+
+
+def test_reused_plan_reads_each_batchs_labels(rng):
+    batch = mixed_batch(rng)
+    relabelled = [(view, v, 1 - lab) for view, v, lab in batch]
+    p = GnnParams.init(3, 4, 2, rng=rng)
+    plan = prepare_batch(2, [(view, v) for view, v, _lab in batch])
+    loss_and_grad(p, batch, plan=plan)
+    got = loss_and_grad(p, relabelled, plan=plan)
+    want = loss_and_grad(p, relabelled)
+    assert np.array_equal(got[0], want[0])
+    for a, b in zip(got[1], want[1]):
+        assert np.array_equal(a, b)
+    with pytest.raises(ModelError):
+        loss_only(p, [(view, v, 2) for view, v, _lab in batch], plan=plan)
 
 
 def test_gradients_match_finite_differences_on_a_reused_plan(rng):
