@@ -102,17 +102,20 @@ class BatchPlan:
 
     Everything parameter-independent is made once, so a training step
     builds a plan per batch and runs any number of passes against changing
-    parameters. keys[l] holds the (view index, node) rows layer l computes
-    and mats[l] its aggregation matrix; row_of maps the batch pairs onto
-    the top rows. first, layer 1's aggregated input, is made by the first
-    forward pass from the views' feature rows, which the plan never keeps.
+    parameters. keys[l] holds the (view index, node) rows layer l computes,
+    mats[l] its aggregation matrix and mats_t[l] (l >= 2) the transpose
+    the backward pass multiplies, built once since scipy builds a new view
+    object on every .T; row_of maps the batch pairs onto the top rows.
+    first, layer 1's aggregated input, is made by the first forward pass
+    from the views' feature rows, which the plan never keeps.
     """
 
-    __slots__ = ("keys", "mats", "row_of", "views", "first")
+    __slots__ = ("keys", "mats", "mats_t", "row_of", "views", "first")
 
     def __init__(self, keys, mats, row_of, views):
         self.keys = keys
         self.mats = mats
+        self.mats_t = [None, None] + [m.T for m in mats[2:]]
         self.row_of = row_of
         self.views = views
         self.first = None
@@ -236,7 +239,7 @@ def _backprop(params, plan, preacts, dZ):
     for l in range(params.layer_count, 0, -1):
         yield l, dZ
         if l > 1:
-            dH = plan.mats[l].T @ (dZ @ params.weights[l - 1][:-1].T)
+            dH = plan.mats_t[l] @ (dZ @ params.weights[l - 1][:-1].T)
             if params.activation == "relu":
                 dZ = dH * (preacts[l - 1] > 0.0)
             else:
