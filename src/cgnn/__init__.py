@@ -3,8 +3,7 @@
 from .graph import (EgoNet, GraphError, GraphState, SnapshotDelta,
                     freeze_ego, l_hop_set, load_stream, replay, write_stream)
 from .model import (GnnParams, ModelError, forward_batch, load_params,
-                    loss_and_grad, loss_only, predict_batch, save_params,
-                    sgd_step)
+                    loss_and_grad, predict_batch, save_params, sgd_step)
 from .detect import (ThresholdRule, score_approx, score_bfs, score_naive,
                      select_influenced, surrogate_weights)
 from .memory import (MemoryEntry, ReplayMemory, load_memory, node_importance,

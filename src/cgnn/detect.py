@@ -31,7 +31,7 @@ class ThresholdRule:
             raise ValueError("unknown threshold mode %r" % self.mode)
         if self.mode == "ratio" and not (0.0 <= self.value <= 1.0):
             raise ValueError("ratio must lie in [0, 1]")
-        if self.mode == "abs" and self.value < 0:
+        if self.mode == "abs" and not self.value >= 0:
             raise ValueError("absolute threshold must be non-negative")
 
 

@@ -6,10 +6,7 @@ sampling, optionally biased toward nodes whose neighborhoods mix labels,
 since those carry more information about the decision boundary.
 """
 
-import io
 import math
-import struct
-import zipfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,7 +38,7 @@ class ReplayMemory:
             raise MemoryError_("capacity must be non-negative")
         if strategy not in STRATEGIES:
             raise MemoryError_("unknown strategy %r" % strategy)
-        if alpha < 0:
+        if not alpha >= 0:
             raise MemoryError_("alpha must be non-negative")
         self.capacity = capacity
         self.strategy = strategy
@@ -220,7 +217,7 @@ def save_memory(mem, path):
         "entry_count": np.array(len(entries), dtype=np.int64),
     }
     if not entries:
-        _write_npz(path, payload)
+        np.savez(path, **payload)
         return
     nodes = [np.array(e.ego.nodes, dtype=np.int64) for e in entries]
     # slot: a member's index among the distinct nodes of the whole memory
@@ -249,30 +246,7 @@ def save_memory(mem, path):
         payload[prefix + "edges"] = ego.edges
         payload[prefix + "feat"] = ego.features[new]
         payload[prefix + "rows"] = rows
-    _write_npz(path, payload)
-
-
-def _write_npz(file, arrays):
-    """Write what np.savez writes, a stored zip of .npy (version 1.0) files,
-    to a path or an open binary file. A dump holds five small arrays per
-    entry, so np.savez's per-array work, and a flush per zip member,
-    would cost more than the bytes: build the zip in memory, write it once.
-    """
-    buf = io.BytesIO()
-    with zipfile.ZipFile(buf, "w") as zf:
-        for key, arr in arrays.items():
-            header = "{'descr': %r, 'fortran_order': False, 'shape': %r, }" \
-                % (arr.dtype.str, arr.shape)
-            # data starts on a 64-byte boundary; 11 = magic, length, newline
-            header += " " * (-(len(header) + 11) % 64) + "\n"
-            zf.writestr(key + ".npy", b"\x93NUMPY\x01\x00"
-                        + struct.pack("<H", len(header))
-                        + header.encode("latin1") + arr.tobytes())
-    if hasattr(file, "write"):
-        file.write(buf.getbuffer())
-    else:
-        with open(file, "wb") as fh:
-            fh.write(buf.getbuffer())
+    np.savez(path, **payload)
 
 
 def load_memory(path):

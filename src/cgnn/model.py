@@ -42,7 +42,7 @@ class GnnParams:
 
     @classmethod
     def init(cls, in_dim, hidden_dim, out_dim, layers=2, activation="relu",
-             rng=None):
+             *, rng):
         """Uniform init in +-sqrt(6 / (fan_in + fan_out)).
 
         The first layer is adapted to the [0, 1] feature contract: its
@@ -54,8 +54,6 @@ class GnnParams:
         """
         if layers < 1:
             raise ModelError("need at least one layer")
-        if rng is None:
-            rng = np.random.default_rng()
         dims = [in_dim] + [hidden_dim] * (layers - 1) + [out_dim]
         weights = []
         for fi, fo in zip(dims[:-1], dims[1:]):
@@ -286,40 +284,17 @@ def _labels(batch, out_dim):
     return labels
 
 
-def _output_grad(H, labels, with_grad=True):
-    """Cross entropy of each row of logits H at its label and, with_grad,
-    its gradient with respect to H (else None)."""
+def _output_grad(H, labels):
+    """Cross entropy of each row of logits H at its label, and its gradient
+    with respect to H."""
     shifted = H - H.max(axis=1, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=1))
     logp = shifted - lse[:, None]
     rows = np.arange(len(labels))
     losses = -logp[rows, labels]
-    if not with_grad:
-        return losses, None
     G = np.exp(logp)
     G[rows, labels] -= 1.0
     return losses, G
-
-
-def _batch_loss(params, batch, fanout, rng, with_grad, plan=None):
-    labels = _labels(batch, params.out_dim)
-    if plan is None:
-        plan = prepare_batch(params.layer_count,
-                             [(view, node) for view, node, _lab in batch],
-                             fanout, rng)
-    H, means, preacts = _layers(params, plan)
-    losses, G = _output_grad(H[plan.row_of], labels, with_grad)
-    if not with_grad:
-        return losses, None
-
-    G *= 1.0 / len(batch)
-    dZ = np.zeros((len(plan.keys[-1]), params.out_dim), dtype=np.float64)
-    np.add.at(dZ, plan.row_of, G)
-    grads = zero_grads(params)
-    for l, dZ in _backprop(params, plan, preacts, dZ):
-        grads[l - 1][:-1] += means[l].T @ dZ
-        grads[l - 1][-1] += dZ.sum(axis=0)
-    return losses, grads
 
 
 def loss_and_grad(params, batch, fanout=None, rng=None, plan=None):
@@ -329,13 +304,21 @@ def loss_and_grad(params, batch, fanout=None, rng=None, plan=None):
     The gradient is exact for the sampled computation graph the forward pass
     actually used. A BatchPlan prepared for the batch reuses its sampling.
     """
-    return _batch_loss(params, batch, fanout, rng, with_grad=True, plan=plan)
-
-
-def loss_only(params, batch, fanout=None, rng=None, plan=None):
-    """Mean cross entropy, without the gradient."""
-    return float(_batch_loss(params, batch, fanout, rng, with_grad=False,
-                             plan=plan)[0].mean())
+    labels = _labels(batch, params.out_dim)
+    if plan is None:
+        plan = prepare_batch(params.layer_count,
+                             [(view, node) for view, node, _lab in batch],
+                             fanout, rng)
+    H, means, preacts = _layers(params, plan)
+    losses, G = _output_grad(H[plan.row_of], labels)
+    G *= 1.0 / len(batch)
+    dZ = np.zeros((len(plan.keys[-1]), params.out_dim), dtype=np.float64)
+    np.add.at(dZ, plan.row_of, G)
+    grads = zero_grads(params)
+    for l, dZ in _backprop(params, plan, preacts, dZ):
+        grads[l - 1][:-1] += means[l].T @ dZ
+        grads[l - 1][-1] += dZ.sum(axis=0)
+    return losses, grads
 
 
 def squared_view_grads(params, batch):

@@ -24,53 +24,48 @@ import numpy as np
 from .graph import FEATURE_DECIMALS, SnapshotDelta, write_stream
 
 
+# Generator settings every stream shares: the class count, each class's
+# expected within-cohort degree before the structure shift, the same-class
+# and cross-class link probabilities after it, the number of recent cohorts
+# a new node may link to, and the first feature's mean before and after the
+# attribute shift.
+CLASSES = 2
+ER_DEGREES = (4.0, 10.0)
+P_IN, P_OUT = 0.02, 0.001
+COMMUNITY_WINDOW = 5
+ATTR_MEANS = (-1.0, 1.0)
+# Half-range of the rescaling map: largest mean plus four sigmas.
+CLIP_BOUND = max(abs(m) for m in ATTR_MEANS) + 4.0
+
+
 @dataclass(frozen=True)
 class SynthConfig:
     steps: int = 24
     per_step: int = 128
     feature_dim: int = 64
-    classes: int = 2
     structure_shift_step: int = 8
     attribute_shift_step: int = 16
-    er_degrees: tuple = (4.0, 10.0)
-    p_in: float = 0.02
-    p_out: float = 0.001
-    community_window: int = 5
-    attr_means: tuple = (-1.0, 1.0)
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("steps", "per_step", "feature_dim", "classes"):
+        for name in ("steps", "per_step", "feature_dim"):
             if getattr(self, name) < 1:
                 raise ValueError("%s out of range: %r"
                                  % (name, getattr(self, name)))
-        if len(self.er_degrees) != self.classes:
-            raise ValueError("er_degrees has %d entries but classes is %d; "
-                             "need one expected degree per class"
-                             % (len(self.er_degrees), self.classes))
-        if not (0 <= self.p_out <= self.p_in <= 1):
-            raise ValueError("need 0 <= p_out <= p_in <= 1")
-        if self.community_window < 1:
-            raise ValueError("attachment window must cover the new cohort")
-
-    def clip_bound(self):
-        """Half-range of the rescaling map: largest mean plus four sigmas."""
-        return max(abs(m) for m in self.attr_means) + 4.0
 
 
-def _rescale(cfg, raw):
-    bound = cfg.clip_bound()
-    mapped = 0.5 + np.clip(raw, -bound, bound) / (2.0 * bound)
+def _rescale(raw):
+    mapped = 0.5 + np.clip(raw, -CLIP_BOUND, CLIP_BOUND) / (2.0 * CLIP_BOUND)
     return np.round(mapped, FEATURE_DECIMALS)
 
 
 def gen_step_attributes(cfg, t, count, rng):
     """Feature rows and class labels for one cohort."""
-    mean = cfg.attr_means[0] if t < cfg.attribute_shift_step else cfg.attr_means[1]
+    mean = ATTR_MEANS[0] if t < cfg.attribute_shift_step else ATTR_MEANS[1]
     raw = rng.standard_normal((count, cfg.feature_dim))
     raw[:, 0] += mean
-    classes = np.arange(count, dtype=np.int64) % cfg.classes
-    return _rescale(cfg, raw), classes
+    classes = np.arange(count, dtype=np.int64) % CLASSES
+    return _rescale(raw), classes
 
 
 def gen_step_structure(cfg, t, existing_ids, existing_classes, new_ids,
@@ -79,24 +74,24 @@ def gen_step_structure(cfg, t, existing_ids, existing_classes, new_ids,
 
     Before the structure shift the cohort is wired internally per class.
     Afterwards each new node is offered a link to every node of the last
-    community_window community-phase cohorts (its own included), so the
+    COMMUNITY_WINDOW community-phase cohorts (its own included), so the
     pre-shift cohorts stay as generated and old communities eventually
     freeze.
     """
     edges = []
     if t < cfg.structure_shift_step:
-        for k in range(cfg.classes):
+        for k in range(CLASSES):
             ids = new_ids[new_classes == k]
             n = len(ids)
             if n < 2:
                 continue
-            p = min(1.0, cfg.er_degrees[k] / (n - 1))
+            p = min(1.0, ER_DEGREES[k] / (n - 1))
             iu, ju = np.triu_indices(n, k=1)
             mask = rng.random(len(iu)) < p
             edges.extend(zip(ids[iu[mask]], ids[ju[mask]]))
     else:
         floor = max(cfg.structure_shift_step,
-                    t - (cfg.community_window - 1)) * cfg.per_step
+                    t - (COMMUNITY_WINDOW - 1)) * cfg.per_step
         recent = existing_ids >= floor
         all_ids = np.concatenate([existing_ids[recent], new_ids])
         all_classes = np.concatenate([existing_classes[recent], new_classes])
@@ -105,8 +100,7 @@ def gen_step_structure(cfg, t, existing_ids, existing_classes, new_ids,
             stop = base + j
             if stop == 0:
                 continue
-            probs = np.where(all_classes[:stop] == new_classes[j],
-                             cfg.p_in, cfg.p_out)
+            probs = np.where(all_classes[:stop] == new_classes[j], P_IN, P_OUT)
             mask = rng.random(stop) < probs
             edges.extend((int(v), int(u)) for v in all_ids[:stop][mask])
     return sorted((int(min(u, v)), int(max(u, v))) for u, v in edges)

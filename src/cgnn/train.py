@@ -17,6 +17,7 @@ a run continued from a checkpoint consumes exactly the streams the original
 run would have.
 """
 
+import io
 import os
 import tempfile
 import time
@@ -318,15 +319,18 @@ def _step(model, params, mem, g_prev, delta, cfg, rng, train_nodes=None,
 
 
 def _atomic_save(save, obj, path):
-    """save(obj, fh) into a temporary file beside path, then rename it.
+    """save(obj, buf) in memory, then buf in one write to a temporary file
+    beside path, renamed onto it; np.savez's many small writes stay cheap.
 
-    A save that fails leaves path as it was.
+    A save that fails leaves path as it was and no temporary file.
     """
+    buf = io.BytesIO()
+    save(obj, buf)
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path),
                                prefix=os.path.basename(path) + ".")
     try:
         with os.fdopen(fd, "wb") as fh:
-            save(obj, fh)
+            fh.write(buf.getbuffer())
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)

@@ -1,14 +1,16 @@
 """Test-only helpers: single-node wrappers, oracles and checkers.
 
-These sit on top of the package's public API (and, for propagate_f and
-continual_step, one private routine each) and exist only so tests can
-state properties compactly.
+These sit on top of the package's public API (and, for loss_only,
+propagate_f and continual_step, one private routine each) and exist only
+so tests can state properties compactly. loss_only is the forward-only
+mean loss that finite differences and loss properties are checked with.
 """
 
 import numpy as np
 
 from cgnn.detect import _propagation_run
-from cgnn.model import forward_batch, loss_and_grad, loss_only, predict_batch
+from cgnn.model import (_output_grad, forward_batch, loss_and_grad,
+                        predict_batch)
 from cgnn.train import _step
 
 
@@ -20,6 +22,14 @@ def forward(params, view, node, fanout=None, rng=None):
 
 def predict(params, view, node):
     return predict_batch(params, [(view, node)])[0]
+
+
+def loss_only(params, batch, fanout=None, rng=None):
+    """Mean cross entropy over (view, node, label) triples, forward only."""
+    H, _plan = forward_batch(params, [(view, node) for view, node, _ in batch],
+                             fanout, rng)
+    labels = np.array([lab for _view, _node, lab in batch], dtype=np.int64)
+    return float(_output_grad(H, labels)[0].mean())
 
 
 def grad_check(params, batch, eps=1e-5, fanout=None, seed=0, grads=None):

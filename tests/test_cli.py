@@ -117,6 +117,12 @@ def test_threshold_flags_set_mode_and_value():
     assert spec.cfg.threshold_value == 0.25
 
 
+def test_nan_threshold_flag_is_rejected():
+    with pytest.raises(ValueError) as err:
+        cli._gather(_args(threshold_abs=float("nan")))
+    assert "absolute threshold" in str(err.value)
+
+
 def test_flag_beats_set_beats_config_file(tmp_path):
     conf = tmp_path / "exp.conf"
     conf.write_text("data_dir=A\n")

@@ -241,6 +241,12 @@ def test_threshold_rule_validation():
         ThresholdRule("abs", -0.1)
 
 
+def test_nan_absolute_threshold_is_rejected():
+    # a NaN threshold would select no node at all
+    with pytest.raises(ValueError):
+        ThresholdRule("abs", float("nan"))
+
+
 def test_new_node_scored_against_zero(rng):
     g, _ = make_graph(rng, 6, 0.4, 3)
     g2, delta = apply_step(rng, g, new=1, edges=0)

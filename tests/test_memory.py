@@ -239,6 +239,12 @@ def test_strategy_validation():
         ReplayMemory(capacity=-1, strategy="random")
 
 
+def test_nan_alpha_is_rejected():
+    with pytest.raises(MemoryError_) as err:
+        ReplayMemory(capacity=4, strategy="stepwise", alpha=float("nan"))
+    assert "alpha" in str(err.value)
+
+
 def test_save_load_round_trip(tmp_path, rng):
     g, _ = make_graph(rng, 10, 0.4, 3)
     mem = fill(ReplayMemory(capacity=6, strategy="stepwise", alpha=0.5),
@@ -330,6 +336,13 @@ def test_load_rejects_a_row_index_past_the_rows_stored_so_far(tmp_path, rng):
     assert "bad.npz: entry 1 " in _load_rewritten(tmp_path, arrays)
     arrays["e1_rows"][0] = -1
     assert "bad.npz: entry 1 " in _load_rewritten(tmp_path, arrays)
+
+
+def test_load_rejects_a_nan_alpha(tmp_path, rng):
+    # a NaN alpha would admit every stepwise candidate with probability 1
+    arrays = _saved_arrays(tmp_path, rng)
+    arrays["alpha"] = np.array(np.nan)
+    assert "bad.npz: alpha" in _load_rewritten(tmp_path, arrays)
 
 
 def test_load_rejects_a_row_index_per_node_mismatch(tmp_path, rng):

@@ -3,11 +3,11 @@ import pytest
 
 from cgnn.graph import GraphState, SnapshotDelta, freeze_ego
 from cgnn.model import (GnnParams, ModelError, forward_batch, load_params,
-                        loss_and_grad, loss_only, predict_batch,
-                        prepare_batch, save_params, sgd_step, softmax)
+                        loss_and_grad, predict_batch, prepare_batch,
+                        save_params, sgd_step, softmax)
 
 from conftest import make_graph
-from helpers import forward, grad_check, predict
+from helpers import forward, grad_check, loss_only, predict
 
 
 def line_graph(n, dim, rng):
@@ -186,6 +186,16 @@ def test_sampling_is_deterministic_under_seed(rng):
     assert l4 != l3  # different sample, different loss
 
 
+@pytest.mark.parametrize("fanout", [None, 2], ids=["full", "sampled"])
+def test_forward_only_loss_matches_loss_and_grad_bitwise(rng, fanout):
+    g, _ = make_graph(rng, 20, 0.4, 3)
+    p = GnnParams.init(3, 4, 2, rng=rng)
+    batch = [(g, v, v % 2) for v in range(8)] + [(g, 3, 1)]
+    want = loss_and_grad(p, batch, fanout, np.random.default_rng(5))[0]
+    got = loss_only(p, batch, fanout, np.random.default_rng(5))
+    assert got == float(want.mean())
+
+
 class ShuffledView:
     """Wraps a snapshot, reporting neighbor lists in scrambled order."""
 
@@ -261,7 +271,7 @@ def test_rejects_bad_inputs(rng):
     with pytest.raises(ModelError):
         forward_batch(p, [(g, 0)], fanout=2)  # sampling without rng
     with pytest.raises(ModelError):
-        loss_only(p, [(g, 0, 5)])  # label outside classifier range
+        loss_and_grad(p, [(g, 0, 5)])  # label outside classifier range
     with pytest.raises(ModelError):
         GnnParams([np.zeros((2, 2))], activation="step")
 
@@ -388,7 +398,8 @@ def test_reused_plan_reads_each_batchs_labels(rng):
     for a, b in zip(got[1], want[1]):
         assert np.array_equal(a, b)
     with pytest.raises(ModelError):
-        loss_only(p, [(view, v, 2) for view, v, _lab in batch], plan=plan)
+        loss_and_grad(p, [(view, v, 2) for view, v, _lab in batch],
+                      plan=plan)
 
 
 def test_gradients_match_finite_differences_on_a_reused_plan(rng):

@@ -36,8 +36,7 @@ def test_er_phase_hits_expected_degree():
     # one 500-node class-1 cohort per seed; sample mean degree near 10
     means = []
     for seed in range(20):
-        cfg = SynthConfig(steps=1, per_step=1000, feature_dim=4,
-                          er_degrees=(4.0, 10.0), seed=seed)
+        cfg = SynthConfig(steps=1, per_step=1000, feature_dim=4, seed=seed)
         final = replay(generate(cfg), feature_dim=4)
         labels = final.labels_array()
         ids = np.flatnonzero(labels == 1)
@@ -139,13 +138,7 @@ def test_single_step_stream_is_valid():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError) as err:
-        SynthConfig(classes=3)
-    assert str(err.value).startswith(
-        "er_degrees has 2 entries but classes is 3")
-    with pytest.raises(ValueError):
-        SynthConfig(p_in=0.001, p_out=0.02)
-    for name in ("steps", "per_step", "feature_dim", "classes"):
+    for name in ("steps", "per_step", "feature_dim"):
         with pytest.raises(ValueError) as err:
             SynthConfig(**{name: 0})
         assert name in str(err.value)

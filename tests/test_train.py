@@ -3,7 +3,6 @@ import os
 import numpy as np
 import pytest
 
-import cgnn.model as model_mod
 import cgnn.train as train
 from cgnn.ewc import ewc_penalty, uniform_importance
 from cgnn.graph import EgoNet, GraphState, SnapshotDelta, freeze_ego
@@ -49,6 +48,12 @@ def test_config_validation():
     # the edges of the legal ranges
     TrainConfig(lam=0.0, batch_size=1, fanout=None, alpha=0.0, epochs=0,
                 memory_size=0, layers=1)
+
+
+def test_config_rejects_a_nan_absolute_threshold():
+    with pytest.raises(ValueError) as err:
+        TrainConfig(threshold_mode="abs", threshold_value=float("nan"))
+    assert "absolute threshold" in str(err.value)
 
 
 def test_empty_delta_with_empty_memory_leaves_params_untouched(rng):
@@ -154,7 +159,7 @@ def test_loss_total_equals_sum_of_parts(rng, model, batch_size):
 
 
 def test_replay_step_plans_each_batch_once(rng, monkeypatch):
-    calls = {"prepare_batch": 0, "loss_only": 0}
+    calls = {"prepare_batch": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -164,9 +169,6 @@ def test_replay_step_plans_each_batch_once(rng, monkeypatch):
 
     monkeypatch.setattr(train, "prepare_batch",
                         counted("prepare_batch", train.prepare_batch))
-    only = counted("loss_only", model_mod.loss_only)
-    monkeypatch.setattr(model_mod, "loss_only", only)
-    monkeypatch.setattr(train, "loss_only", only, raising=False)
     deltas = random_stream(rng, 3, 12, 0.35, 4)
     cfg = small_cfg(lam=50.0)
     _, _, reports = run_stream("continual", deltas, cfg, 4)
@@ -174,7 +176,7 @@ def test_replay_step_plans_each_batch_once(rng, monkeypatch):
     batches = sum(-(-(r.trained + r.replayed) // cfg.batch_size)
                   for r in reports)
     assert batches > len(reports)  # minibatches at some step
-    assert calls == {"prepare_batch": batches, "loss_only": 0}
+    assert calls == {"prepare_batch": batches}
 
 
 def test_one_step_stream_all_models_agree(rng):
@@ -308,6 +310,19 @@ def test_failed_checkpoint_leaves_earlier_files_intact(tmp_path, rng,
     assert contents() == after
     assert params_equal(load_params(path), params)
     assert load_memory(str(tmp_path / "step0.mem")).seen == mem.seen
+
+
+def test_failed_save_creates_no_file(tmp_path):
+    path = str(tmp_path / "step0.ckpt")
+
+    def broken_save(obj, fh):
+        assert os.listdir(tmp_path) == []  # nothing on disk while it runs
+        fh.write(b"partial")
+        raise OSError("disk full")
+
+    with pytest.raises(OSError):
+        train._atomic_save(broken_save, None, path)
+    assert os.listdir(tmp_path) == []
 
 
 def test_continuation_requires_params():
