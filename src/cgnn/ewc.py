@@ -53,7 +53,7 @@ def ewc_penalty(params, fisher, lam):
 
     Returns (scalar, per-layer gradient arrays). lam = 0 gives exact zeros.
     """
-    if lam < 0:
+    if not lam >= 0:
         raise ValueError("penalty strength must be non-negative")
     total = 0.0
     grads = []

@@ -356,7 +356,7 @@ def squared_view_grads(params, batch):
 
 def sgd_step(params, grads, lr):
     """One plain gradient step. Rejects non-finite gradients outright."""
-    if lr <= 0:
+    if not lr > 0:
         raise ModelError("learning rate must be positive")
     out = []
     for w, g in zip(params.weights, grads):

@@ -319,8 +319,7 @@ def _step(model, params, mem, g_prev, delta, cfg, rng, train_nodes=None,
 
 
 def _atomic_save(save, obj, path):
-    """save(obj, buf) in memory, then buf in one write to a temporary file
-    beside path, renamed onto it; np.savez's many small writes stay cheap.
+    """save(obj, buf) in memory, one write to a temp file, rename onto path.
 
     A save that fails leaves path as it was and no temporary file.
     """

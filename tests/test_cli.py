@@ -115,9 +115,6 @@ def test_threshold_flags_set_mode_and_value():
     spec = cli._gather(_args(threshold_abs=0.25))
     assert spec.cfg.threshold_mode == "abs"
     assert spec.cfg.threshold_value == 0.25
-
-
-def test_nan_threshold_flag_is_rejected():
     with pytest.raises(ValueError) as err:
         cli._gather(_args(threshold_abs=float("nan")))
     assert "absolute threshold" in str(err.value)

@@ -157,8 +157,9 @@ def test_lambda_zero_is_exact_zero(rng):
 
 def test_negative_lambda_rejected(rng):
     p = GnnParams.init(3, 4, 2, rng=rng)
-    with pytest.raises(ValueError):
-        ewc_penalty(p, uniform_importance(p), -1.0)
+    for lam in (-1.0, float("nan")):
+        with pytest.raises(ValueError):
+            ewc_penalty(p, uniform_importance(p), lam)
 
 
 def test_penalty_zero_at_anchor(rng):

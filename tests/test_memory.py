@@ -237,12 +237,8 @@ def test_strategy_validation():
         ReplayMemory(capacity=4, strategy="fifo")
     with pytest.raises(MemoryError_):
         ReplayMemory(capacity=-1, strategy="random")
-
-
-def test_nan_alpha_is_rejected():
-    with pytest.raises(MemoryError_) as err:
+    with pytest.raises(MemoryError_):
         ReplayMemory(capacity=4, strategy="stepwise", alpha=float("nan"))
-    assert "alpha" in str(err.value)
 
 
 def test_save_load_round_trip(tmp_path, rng):

@@ -164,8 +164,9 @@ def test_sgd_step_and_nonfinite_rejection():
     assert np.allclose(p.weights[0], 1.0)  # input untouched
     with pytest.raises(ModelError):
         sgd_step(p, [np.array([[np.nan, 0.0], [0.0, 0.0]])], lr=0.1)
-    with pytest.raises(ModelError):
-        sgd_step(p, g, lr=0.0)
+    for lr in (0.0, float("nan")):
+        with pytest.raises(ModelError):
+            sgd_step(p, g, lr=lr)
 
 
 def test_sampling_is_deterministic_under_seed(rng):
