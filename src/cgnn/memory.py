@@ -197,6 +197,7 @@ def replay_batch(mem):
 
 def save_memory(mem, path):
     """Lossless memory dump (.npz), format version 2. Inverse of load_memory.
+    np.savez writes it, so a file name without .npz gets that suffix.
 
     Entry i, in class-major order, is stored as e{i}_meta (label, step,
     center, depth), e{i}_nodes, e{i}_edges, e{i}_feat and e{i}_rows. The
