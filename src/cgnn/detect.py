@@ -52,11 +52,11 @@ def _drift(params, g_old, g_new, ids, upto=None):
 
     ids are sorted, so the ones the old snapshot has come first; a new
     node's old representation is the zero vector."""
-    H, _ = forward_batch(params, [(g_new, u) for u in ids], upto=upto)
+    H = forward_batch(params, [(g_new, u) for u in ids], upto=upto)
     k = int(np.searchsorted(ids, g_old.n))
     if k:
         H[:k] -= forward_batch(params, [(g_old, u) for u in ids[:k]],
-                               upto=upto)[0]
+                               upto=upto)
     return H
 
 

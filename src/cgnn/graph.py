@@ -106,9 +106,6 @@ class GraphState:
     def neighbors(self, v):
         return self._adj[v]
 
-    def degree(self, v):
-        return len(self._adj[v])
-
     def has_edge(self, u, v):
         return v in self._adj[u]
 

@@ -169,8 +169,8 @@ def _run_one_model(model, deltas, dim, spec, train_sets, test_sets,
             tracked = sorted(set().union(*(test_sets[c] for c in cohorts
                                            if c <= t)))
             if tracked:
-                reps, _ = forward_batch(params, [(state, v) for v in tracked],
-                                        upto=params.layer_count - 1)
+                reps = forward_batch(params, [(state, v) for v in tracked],
+                                     upto=params.layer_count - 1)
                 columns = ["node_id"] + ["e%d" % i
                                          for i in range(reps.shape[1])]
                 write_csv(

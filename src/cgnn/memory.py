@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import EgoNet, freeze_ego
+from .model import _savez
 
 STRATEGIES = ("random", "hierarchical", "stepwise")
 
@@ -196,8 +197,8 @@ def replay_batch(mem):
 
 
 def save_memory(mem, path):
-    """Lossless memory dump (.npz), format version 2. Inverse of load_memory.
-    np.savez writes it, so a file name without .npz gets that suffix.
+    """Lossless memory dump (.npz), format version 2, into path, a file
+    name or a binary file object. Inverse of load_memory.
 
     Entry i, in class-major order, is stored as e{i}_meta (label, step,
     center, depth), e{i}_nodes, e{i}_edges, e{i}_feat and e{i}_rows. The
@@ -218,7 +219,7 @@ def save_memory(mem, path):
         "entry_count": np.array(len(entries), dtype=np.int64),
     }
     if not entries:
-        np.savez(path, **payload)
+        _savez(path, payload)
         return
     nodes = [np.array(e.ego.nodes, dtype=np.int64) for e in entries]
     # slot: a member's index among the distinct nodes of the whole memory
@@ -247,7 +248,7 @@ def save_memory(mem, path):
         payload[prefix + "edges"] = ego.edges
         payload[prefix + "feat"] = ego.features[new]
         payload[prefix + "rows"] = rows
-    np.savez(path, **payload)
+    _savez(path, payload)
 
 
 def load_memory(path):

@@ -104,40 +104,19 @@ class BatchPlan:
     mats[l] its aggregation matrix and mats_t[l] (l >= 2) the transpose
     the backward pass multiplies, built once since scipy builds a new view
     object on every .T; row_of maps the batch pairs onto the top rows.
-    first, layer 1's aggregated input, is made by the first forward pass
-    from the views' feature rows, which the plan never keeps.
+    first is layer 1's aggregated input, mats[1] times the feature rows of
+    keys[0], or those rows themselves for a plan of depth 0.
     """
 
-    __slots__ = ("keys", "mats", "mats_t", "row_of", "views", "first")
+    __slots__ = ("keys", "mats", "mats_t", "row_of", "first")
 
-    def __init__(self, keys, mats, row_of, views):
+    def __init__(self, keys, mats, row_of, first):
         self.keys = keys
         self.mats = mats
         self.mats_t = [None, None] + [m.T for m in mats[2:]]
         self.row_of = row_of
-        self.views = views
-        self.first = None
-
-    def feature_rows(self):
-        """The feature rows of keys[0], gathered by one index per view."""
-        vis, nodes = self.keys[0][:, 0], self.keys[0][:, 1]
-        order = np.argsort(vis, kind="stable")
-        bounds = np.searchsorted(vis[order], np.arange(len(self.views) + 1))
-        rows = None
-        for view, lo, hi in zip(self.views, bounds[:-1], bounds[1:]):
-            at = order[lo:hi]
-            block = view.feature_rows(nodes[at])
-            if rows is None:
-                rows = np.empty((len(nodes), block.shape[1]))
-            rows[at] = block
-        return rows
-
-    def first_mean(self):
-        if self.first is None:
-            self.first = self.mats[1] @ self.feature_rows()
-            self.first.setflags(write=False)
-            self.views = None
-        return self.first
+        self.first = first
+        self.first.setflags(write=False)
 
 
 # A key code holds the view index above these bits and the node below.
@@ -199,8 +178,20 @@ def prepare_batch(layer_count, pairs, fanout=None, rng=None):
             shape=(len(counts), len(codes)))
         mats[l].sort_indices()
     keys[0] = codes
+    # the feature rows of keys[0], gathered by one index per view
+    vis, nodes = codes >> _NODE_BITS, codes & _NODE_MASK
+    order = np.argsort(vis, kind="stable")
+    bounds = np.searchsorted(vis[order], np.arange(len(views) + 1))
+    rows = None
+    for view, lo, hi in zip(views, bounds[:-1], bounds[1:]):
+        at = order[lo:hi]
+        block = view.feature_rows(nodes[at])
+        if rows is None:
+            rows = np.empty((len(nodes), block.shape[1]))
+        rows[at] = block
     keys = [np.stack([c >> _NODE_BITS, c & _NODE_MASK], axis=1) for c in keys]
-    return BatchPlan(keys, mats, row_of, views)
+    return BatchPlan(keys, mats, row_of,
+                     rows if layer_count == 0 else mats[1] @ rows)
 
 
 def _layers(params, plan):
@@ -214,9 +205,9 @@ def _layers(params, plan):
     depth = len(plan.mats) - 1
     means = [None] * (depth + 1)
     preacts = [None] * (depth + 1)
-    H = plan.feature_rows() if depth == 0 else None
+    H = plan.first if depth == 0 else None
     for l in range(1, depth + 1):
-        agg = plan.first_mean() if l == 1 else plan.mats[l] @ H
+        agg = plan.first if l == 1 else plan.mats[l] @ H
         w = params.weights[l - 1]
         Z = agg @ w[:-1] + w[-1]
         means[l] = agg
@@ -244,24 +235,20 @@ def _backprop(params, plan, preacts, dZ):
                 dZ = dH
 
 
-def forward_batch(params, pairs, fanout=None, rng=None, upto=None):
-    """Representations for a batch of (view, node) pairs.
+def forward_batch(params, pairs, upto=None):
+    """Representations for a batch of (view, node) pairs, aggregated over
+    full neighborhoods; H[j] is the representation of pairs[j].
 
-    fanout=None aggregates full neighborhoods deterministically; with a
-    finite fanout, larger neighbor lists are subsampled uniformly without
-    replacement using rng. upto=k stops after layer k, on a k-layer plan:
-    upto=layer_count - 1 gives the last hidden layer, upto=0 the raw
-    feature rows.
-
-    Returns (H, plan) where H[j] is the representation of pairs[j].
+    upto=k stops after layer k, on a k-layer plan: upto=layer_count - 1
+    gives the last hidden layer, upto=0 the raw feature rows.
     """
     depth = params.layer_count if upto is None else upto
     if not 0 <= depth <= params.layer_count:
         raise ModelError("cannot stop after layer %d of %d"
                          % (depth, params.layer_count))
-    plan = prepare_batch(depth, pairs, fanout, rng)
+    plan = prepare_batch(depth, pairs)
     H, _means, _preacts = _layers(params, plan)
-    return H[plan.row_of], plan
+    return H[plan.row_of]
 
 
 def softmax(z):
@@ -273,8 +260,7 @@ def softmax(z):
 
 def predict_batch(params, pairs):
     """Class probabilities from full neighborhoods."""
-    H, _ = forward_batch(params, pairs)
-    return softmax(H)
+    return softmax(forward_batch(params, pairs))
 
 
 def _labels(batch, out_dim):
@@ -297,18 +283,14 @@ def _output_grad(H, labels):
     return losses, G
 
 
-def loss_and_grad(params, batch, fanout=None, rng=None, plan=None):
+def loss_and_grad(params, batch, plan):
     """Per-triple cross entropy over (view, node, label) triples, plus the
     gradient of its mean.
 
-    The gradient is exact for the sampled computation graph the forward pass
-    actually used. A BatchPlan prepared for the batch reuses its sampling.
+    plan is the batch's BatchPlan, prepared for its (view, node) pairs; the
+    gradient is exact for the computation graph it sampled.
     """
     labels = _labels(batch, params.out_dim)
-    if plan is None:
-        plan = prepare_batch(params.layer_count,
-                             [(view, node) for view, node, _lab in batch],
-                             fanout, rng)
     H, means, preacts = _layers(params, plan)
     losses, G = _output_grad(H[plan.row_of], labels)
     G *= 1.0 / len(batch)
@@ -369,8 +351,18 @@ def sgd_step(params, grads, lr):
 CHECKPOINT_VERSION = 1
 
 
+def _savez(path, payload):
+    """np.savez into a file object, or under exactly the file name given,
+    where np.savez itself would add .npz to a name without it."""
+    if hasattr(path, "write"):
+        return np.savez(path, **payload)
+    with open(path, "wb") as fh:
+        np.savez(fh, **payload)
+
+
 def save_params(params, path):
-    """Lossless weight dump (.npz with a format version marker)."""
+    """Lossless weight dump (.npz with a format version marker) into path,
+    a file name or a binary file object."""
     payload = {
         "format_version": np.array(CHECKPOINT_VERSION, dtype=np.int64),
         "activation": np.array(params.activation),
@@ -378,7 +370,7 @@ def save_params(params, path):
     }
     for i, w in enumerate(params.weights):
         payload["w%d" % i] = w
-    np.savez(path, **payload)
+    _savez(path, payload)
 
 
 def load_params(path):

@@ -21,7 +21,7 @@ import io
 import os
 import tempfile
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,8 +31,8 @@ from .ewc import estimate_fisher, ewc_penalty, uniform_importance
 from .graph import GraphState, l_hop_set
 from .memory import (STRATEGIES, ReplayMemory, replay_batch, save_memory,
                      update_memory)
-from .model import (GnnParams, loss_and_grad, prepare_batch, save_params,
-                    sgd_step)
+from .model import (GnnParams, ModelError, loss_and_grad, prepare_batch,
+                    save_params, sgd_step)
 
 MODELS = ("continual", "pretrained", "online", "single", "retrained")
 DETECTORS = ("naive", "bfs", "approx")
@@ -62,14 +62,12 @@ class TrainConfig:
     regularizer: str = "ewc"
     lam: float = 200.0
     use_replay: bool = True
-    online_scope: str = "changed"
     seed: int = 0
 
     def __post_init__(self):
         for name, choices in (("detector", DETECTORS),
                               ("memory_strategy", STRATEGIES),
-                              ("regularizer", REGULARIZERS),
-                              ("online_scope", ("changed", "detector"))):
+                              ("regularizer", REGULARIZERS)):
             if getattr(self, name) not in choices:
                 raise ValueError("unknown %s %r" % (name, getattr(self, name)))
         ThresholdRule(self.threshold_mode, self.threshold_value)
@@ -90,7 +88,6 @@ class TrainConfig:
 @dataclass
 class StepReport:
     step: int
-    model: str
     changed: int = 0
     influenced: int = 0
     trained: int = 0
@@ -141,8 +138,8 @@ def detect_influenced(params, g_prev, g_t, delta, cfg):
     return influenced, time.perf_counter() - start
 
 
-def _train_epochs(params, fresh, replayed, fisher, cfg, rng):
-    """SGD epochs over fresh plus replayed triples.
+def _train_epochs(params, fresh, replayed, fisher, cfg, rng, step):
+    """SGD epochs of stream step `step` over fresh plus replayed triples.
 
     Returns (params, per_epoch_loss, loss_parts, epoch_seconds). Each
     epoch reports the objective it stepped on, for every model: its parts
@@ -188,29 +185,33 @@ def _train_epochs(params, fresh, replayed, fisher, cfg, rng):
     step_lr = cfg.lr
     prev_total = None
     best = None
-    for _epoch in range(cfg.epochs):
+    for epoch in range(cfg.epochs):
         start = time.perf_counter()
         l_new = l_data = l_model = weighted = 0.0
-        for bi in [0] if full else rng.permutation(len(batches)):
-            batch, bplan, from_memory = batches[bi]
-            per_node, grads = loss_and_grad(params, batch, plan=bplan)
-            loss = float(per_node.mean())
-            pen = 0.0
-            if penalized:
-                pen, pgrads = ewc_penalty(params, fisher, cfg.lam)
-                grads = [g + pscale * p for g, p in zip(grads, pgrads)]
-            l_new += float(per_node[~from_memory].sum())
-            l_data += float(per_node[from_memory].sum())
-            l_model += pen * (len(batch) / len(entries))
-            weighted += loss * len(batch)
-            if full:
-                total = loss + pscale * pen
-                if best is not None and total >= best[0]:
-                    step_lr = max(step_lr / 2.0, cfg.lr / 1024.0)
-                    _, params, grads = best
-                else:
-                    best = (total, params, grads)
-            params = sgd_step(params, grads, step_lr)
+        try:
+            for bi in [0] if full else rng.permutation(len(batches)):
+                batch, bplan, from_memory = batches[bi]
+                per_node, grads = loss_and_grad(params, batch, bplan)
+                loss = float(per_node.mean())
+                pen = 0.0
+                if penalized:
+                    pen, pgrads = ewc_penalty(params, fisher, cfg.lam)
+                    grads = [g + pscale * p for g, p in zip(grads, pgrads)]
+                l_new += float(per_node[~from_memory].sum())
+                l_data += float(per_node[from_memory].sum())
+                l_model += pen * (len(batch) / len(entries))
+                weighted += loss * len(batch)
+                if full:
+                    total = loss + pscale * pen
+                    if best is not None and total >= best[0]:
+                        step_lr = max(step_lr / 2.0, cfg.lr / 1024.0)
+                        _, params, grads = best
+                    else:
+                        best = (total, params, grads)
+                params = sgd_step(params, grads, step_lr)
+        except ModelError as err:
+            raise ModelError("step %d, epoch %d: %s"
+                             % (step, epoch, err)) from None
         if not full:
             total = weighted / len(entries)
             if prev_total is not None and total >= prev_total:
@@ -252,11 +253,9 @@ _MODES = {
 }
 
 
-def _mode(model, cfg):
+def _mode(model):
     if model not in _MODES:
         raise ValueError("unknown model %r" % model)
-    if model == "online" and cfg.online_scope == "detector":
-        return replace(_MODES[model], scope="influenced")
     return _MODES[model]
 
 
@@ -269,7 +268,7 @@ def _step(model, params, mem, g_prev, delta, cfg, rng, train_nodes=None,
     given, is the set of nodes whose labels training may use so far;
     step_train the ones this step brought.
     """
-    mode = _mode(model, cfg)
+    mode = _mode(model)
     g_t = g_prev.apply_delta(delta)
     if params is None or mode.reinit:
         params = _init_params(cfg, g_t.feature_dim, g_t.class_count(),
@@ -305,12 +304,11 @@ def _step(model, params, mem, g_prev, delta, cfg, rng, train_nodes=None,
                 fisher = uniform_importance(params)
 
     params, losses, parts, seconds = _train_epochs(
-        params, fresh, replayed, fisher, cfg, rng)
+        params, fresh, replayed, fisher, cfg, rng, g_t.time)
     if mode.replay:
         mem = update_memory(mem, train_ids, g_t, params.layer_count, rng)
 
-    report = StepReport(step=g_t.time, model=model,
-                        changed=len(delta.changed_nodes()),
+    report = StepReport(step=g_t.time, changed=len(delta.changed_nodes()),
                         influenced=len(influenced), trained=len(fresh),
                         replayed=len(replayed), per_epoch_loss=losses,
                         loss_parts=parts, epoch_seconds=seconds,
@@ -358,7 +356,7 @@ def run_stream(model, deltas, cfg, feature_dim, train_sets=None,
 
     Returns (params, memory, reports).
     """
-    mode = _mode(model, cfg)
+    mode = _mode(model)
     if checkpoint_dir:
         os.makedirs(checkpoint_dir, exist_ok=True)
 

@@ -1,23 +1,31 @@
 """Test-only helpers: single-node wrappers, oracles and checkers.
 
-These sit on top of the package's public API (and, for loss_only,
-propagate_f and continual_step, one private routine each) and exist only
-so tests can state properties compactly. loss_only is the forward-only
-mean loss that finite differences and loss properties are checked with.
+These sit on top of the package's public API (and, for forward, loss_only,
+propagate_f and continual_step, a private routine or two) and exist only
+so tests can state properties compactly. plan_of prepares a batch's plan,
+sampled when given a fanout; forward and loss_only run the model's layers
+on such a plan, and loss_only is the forward-only mean loss that finite
+differences and loss properties are checked with.
 """
 
 import numpy as np
 
 from cgnn.detect import _propagation_run
-from cgnn.model import (_output_grad, forward_batch, loss_and_grad,
-                        predict_batch)
+from cgnn.model import (_layers, _output_grad, loss_and_grad, predict_batch,
+                        prepare_batch)
 from cgnn.train import _step
 
 
+def plan_of(params, batch, fanout=None, rng=None):
+    """The BatchPlan of (view, node[, label]) tuples, at the model's depth."""
+    return prepare_batch(params.layer_count, [(t[0], t[1]) for t in batch],
+                         fanout, rng)
+
+
 def forward(params, view, node, fanout=None, rng=None):
-    """Single-node wrapper around forward_batch: (representation, plan)."""
-    H, plan = forward_batch(params, [(view, node)], fanout, rng)
-    return H[0], plan
+    """One node's representation, and the plan that gave it."""
+    plan = plan_of(params, [(view, node)], fanout, rng)
+    return _layers(params, plan)[0][plan.row_of][0], plan
 
 
 def predict(params, view, node):
@@ -26,8 +34,8 @@ def predict(params, view, node):
 
 def loss_only(params, batch, fanout=None, rng=None):
     """Mean cross entropy over (view, node, label) triples, forward only."""
-    H, _plan = forward_batch(params, [(view, node) for view, node, _ in batch],
-                             fanout, rng)
+    plan = plan_of(params, batch, fanout, rng)
+    H = _layers(params, plan)[0][plan.row_of]
     labels = np.array([lab for _view, _node, lab in batch], dtype=np.int64)
     return float(_output_grad(H, labels)[0].mean())
 
@@ -43,7 +51,8 @@ def grad_check(params, batch, eps=1e-5, fanout=None, seed=0, grads=None):
         return np.random.default_rng(seed) if fanout is not None else None
 
     if grads is None:
-        _, grads = loss_and_grad(params, batch, fanout, fresh_rng())
+        _, grads = loss_and_grad(params, batch,
+                                 plan_of(params, batch, fanout, fresh_rng()))
 
     worst = 0.0
     for li, w in enumerate(params.weights):

@@ -120,6 +120,20 @@ def test_threshold_flags_set_mode_and_value():
     assert "absolute threshold" in str(err.value)
 
 
+def test_threshold_ratio_flag_sets_mode_and_value():
+    spec = cli._gather(_args(threshold_ratio=0.5))
+    assert spec.cfg.threshold_mode == "ratio"
+    assert spec.cfg.threshold_value == 0.5
+
+
+def test_set_coerces_booleans():
+    spec = cli._gather(_args(set=["use_replay=off", "checkpoints=yes"]))
+    assert spec.cfg.use_replay is False and spec.checkpoints is True
+    with pytest.raises(ValueError) as err:
+        cli._gather(_args(set=["use_replay=maybe"]))
+    assert "bad boolean" in str(err.value)
+
+
 def test_flag_beats_set_beats_config_file(tmp_path):
     conf = tmp_path / "exp.conf"
     conf.write_text("data_dir=A\n")

@@ -37,7 +37,6 @@ RUNS = {
     "single": ("single", {}),
     "retrained": ("retrained", {}),
     "continual-l2": ("continual", {"regularizer": "l2"}),
-    "online-detector": ("online", {"online_scope": "detector"}),
     # a memory smaller than the stream's training nodes, so that admission
     # and eviction decide what is replayed
     "continual-stepwise": ("continual", {"memory_size": 60}),
@@ -59,7 +58,6 @@ GOLDEN = {
     "continual-random": "9245b8abbe1dd050c2a4145791c8145afd5d0f8d117c58b978de967ab892171c",
     "continual-stepwise": "f4a87653081227e1e4910ea3e73fbb8710c8c5f951611fec8f32ab5296bd21ae",
     "online": "8bb0503fdb5d42986e077f9f5434db0610b386543066e1a17ad99a0a753a3eaf",
-    "online-detector": "c6632c6fd7e0b21fc154694e5747fd7a7d121516ff51b3ceb3fd8535117fbf31",
     "pretrained": "cc5c07999ee64283bae554afda1b674af7ebcd6b8fe936e47889743b419f4f15",
     "retrained": "d8a24cb333e1d1867629ea3d535484eddcb8350944062d7f2550f88e037e7b89",
     "retrained-fullbatch": "bdde5b6fbd1aed6a3c66fbc158995eba80fa6ed13d309f99af39342be32710db",
@@ -76,7 +74,6 @@ WEIGHTS_GOLDEN = {
     "continual-random": "cc43ff12f37164cf1139dc703403f71c46ea4190e34494ce08aa8b5c056a026d",
     "continual-stepwise": "0a8dbd37ccaedfd4cd34d9364b7244ae11828d8de3b90ce50b19c71e5c806623",
     "online": "8da37612219b29eb2d86587354640ef9c57603a5576f93435cd4de32ca0871a2",
-    "online-detector": "fbc87be0a3f847dc473ebc712642d00fd848bde1896827007d24e1b1ef123b16",
     "pretrained": "af4e77c17f656f4c7101f27cc96a14c8afc3ae11848382d0069ca079c0d11954",
     "retrained": "8568cffe12ccbe79041f2c3bb205e73567a6b3dcaab9d3ceea6bd06d8d2c956b",
     "retrained-fullbatch": "50907c7796d9c7b2b9f9ce7ee5db562866070c6e4eac69e8c7682f651c345dfc",

@@ -8,6 +8,7 @@ from cgnn.memory import MemoryEntry, ReplayMemory, replay_batch, update_memory
 from cgnn.model import GnnParams, loss_and_grad, zero_grads
 
 from conftest import make_graph
+from helpers import plan_of
 
 
 def build_memory(rng, n=12, capacity=8, dim=3):
@@ -35,7 +36,8 @@ def test_fisher_matches_per_entry_accumulation(rng):
     want = zero_grads(p)
     batch = replay_batch(mem)
     for ego, center, lab in batch:
-        _, grads = loss_and_grad(p, [(ego, center, lab)])
+        triple = [(ego, center, lab)]
+        _, grads = loss_and_grad(p, triple, plan_of(p, triple))
         for acc, g_ in zip(want, grads):
             acc += g_ * g_
     for acc, got, anchor, w in zip(want, fisher.values,
@@ -68,7 +70,8 @@ def test_fisher_matches_per_entry_loop_on_unequal_ego_nets(rng, layers,
         w[-1] = rng.normal(size=w.shape[1])
     want = zero_grads(p)
     for ego, center, lab in batch:
-        _, grads = loss_and_grad(p, [(ego, center, lab)])
+        triple = [(ego, center, lab)]
+        _, grads = loss_and_grad(p, triple, plan_of(p, triple))
         for acc, g_ in zip(want, grads):
             acc += g_ * g_
     fisher = estimate_fisher(p, mem)

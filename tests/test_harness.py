@@ -166,6 +166,17 @@ def test_case_study_writes_embeddings(tmp_path):
     assert len(cohort_rows) == 4  # step-0 cohort tracked at every step
 
 
+def test_accumulated_test_pool_is_every_test_node_so_far():
+    spec = tiny_spec(accumulate_test=True, cohort_steps=(0, 1, 2, 3))
+    rows, _ = run_case_study(spec, models=["pretrained"])
+    for t in range(4):
+        at = {r["cohort"]: r for r in rows if r["step"] == t}
+        cohorts = [at["step%d" % c] for c in range(t + 1)]
+        assert at["all"]["n"] == sum(r["n"] for r in cohorts)
+        assert at["all"]["accuracy"] * at["all"]["n"] == pytest.approx(
+            sum(r["accuracy"] * r["n"] for r in cohorts))
+
+
 def test_case_study_creates_its_output_directory(tmp_path):
     out = tmp_path / "case" / "study"
     run_case_study(tiny_spec(out))

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -263,6 +265,15 @@ def test_save_load_round_trip(tmp_path, rng):
                                       e2.ego.feature_row(v))
                 assert sorted(e1.ego.neighbors(v)) == \
                        sorted(e2.ego.neighbors(v))
+
+
+def test_save_keeps_a_file_name_without_npz(tmp_path, rng):
+    g, _ = make_graph(rng, 10, 0.4, 3)
+    mem = fill(ReplayMemory(capacity=6), g, range(10))
+    path = str(tmp_path / "step0.mem")
+    save_memory(mem, path)
+    assert os.listdir(str(tmp_path)) == ["step0.mem"]
+    assert load_memory(path).size == mem.size == 6
 
 
 def test_dump_stores_each_row_once_and_keeps_rewrites_and_zero_signs(

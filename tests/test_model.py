@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from cgnn.model import (GnnParams, ModelError, forward_batch, load_params,
                         save_params, sgd_step, softmax)
 
 from conftest import make_graph
-from helpers import forward, grad_check, loss_only, predict
+from helpers import forward, grad_check, loss_only, plan_of, predict
 
 
 def line_graph(n, dim, rng):
@@ -60,7 +62,7 @@ def test_full_neighborhood_matches_dense_oracle(rng):
         H = g.feature_matrix()
         H = np.maximum(P @ H @ p.weights[0][:-1] + p.weights[0][-1], 0.0)
         H = P @ H @ p.weights[1][:-1] + p.weights[1][-1]
-        got, _ = forward_batch(p, [(g, v) for v in range(n)])
+        got = forward_batch(p, [(g, v) for v in range(n)])
         assert np.allclose(got, H, rtol=1e-12, atol=1e-12)
 
 
@@ -76,7 +78,7 @@ def test_three_layer_forward_matches_dense_oracle(rng):
     H = np.maximum(P @ H @ p.weights[0][:-1] + p.weights[0][-1], 0.0)
     H = np.maximum(P @ H @ p.weights[1][:-1] + p.weights[1][-1], 0.0)
     H = P @ H @ p.weights[2][:-1] + p.weights[2][-1]
-    got, _ = forward_batch(p, [(g, v) for v in range(n)])
+    got = forward_batch(p, [(g, v) for v in range(n)])
     assert np.allclose(got, H, rtol=1e-12, atol=1e-12)
 
 
@@ -148,7 +150,7 @@ def test_grad_check_flags_corrupted_gradient(rng):
     g, _ = make_graph(rng, 10, 0.3, 3)
     p = GnnParams.init(3, 4, 2, rng=rng)
     batch = [(g, 2, 1), (g, 4, 0)]
-    _, grads = loss_and_grad(p, batch)
+    _, grads = loss_and_grad(p, batch, plan_of(p, batch))
     li, idx = max(((li, idx) for li in range(len(grads))
                    for idx in np.ndindex(grads[li].shape)),
                   key=lambda t: abs(grads[t[0]][t[1]]))
@@ -173,10 +175,10 @@ def test_sampling_is_deterministic_under_seed(rng):
     g, _ = make_graph(rng, 20, 0.4, 3)
     p = GnnParams.init(3, 4, 2, rng=rng)
     batch = [(g, v, v % 2) for v in range(8)]
-    l1, g1 = loss_and_grad(p, batch, fanout=2,
-                           rng=np.random.default_rng(7))
-    l2, g2 = loss_and_grad(p, batch, fanout=2,
-                           rng=np.random.default_rng(7))
+    l1, g1 = loss_and_grad(p, batch,
+                           plan_of(p, batch, 2, np.random.default_rng(7)))
+    l2, g2 = loss_and_grad(p, batch,
+                           plan_of(p, batch, 2, np.random.default_rng(7)))
     assert l1.shape == (len(batch),)
     assert np.array_equal(l1, l2)
     for a, b in zip(g1, g2):
@@ -192,7 +194,8 @@ def test_forward_only_loss_matches_loss_and_grad_bitwise(rng, fanout):
     g, _ = make_graph(rng, 20, 0.4, 3)
     p = GnnParams.init(3, 4, 2, rng=rng)
     batch = [(g, v, v % 2) for v in range(8)] + [(g, 3, 1)]
-    want = loss_and_grad(p, batch, fanout, np.random.default_rng(5))[0]
+    want = loss_and_grad(p, batch,
+                         plan_of(p, batch, fanout, np.random.default_rng(5)))[0]
     got = loss_only(p, batch, fanout, np.random.default_rng(5))
     assert got == float(want.mean())
 
@@ -209,9 +212,6 @@ class ShuffledView:
         self._rng.shuffle(nbrs)
         return nbrs
 
-    def degree(self, v):
-        return self._state.degree(v)
-
     def feature_row(self, v):
         return self._state.feature_row(v)
 
@@ -225,9 +225,9 @@ class ShuffledView:
 def test_neighbor_order_does_not_change_full_forward(rng):
     g, _ = make_graph(rng, 15, 0.3, 3)
     p = GnnParams.init(3, 4, 2, rng=rng)
-    base, _ = forward_batch(p, [(g, v) for v in range(15)])
+    base = forward_batch(p, [(g, v) for v in range(15)])
     shuffled = ShuffledView(g, 3)
-    got, _ = forward_batch(p, [(shuffled, v) for v in range(15)])
+    got = forward_batch(p, [(shuffled, v) for v in range(15)])
     assert np.array_equal(base, got)
 
 
@@ -270,9 +270,10 @@ def test_rejects_bad_inputs(rng):
     with pytest.raises(ModelError):
         forward_batch(p, [])
     with pytest.raises(ModelError):
-        forward_batch(p, [(g, 0)], fanout=2)  # sampling without rng
+        prepare_batch(2, [(g, 0)], fanout=2)  # sampling without rng
     with pytest.raises(ModelError):
-        loss_and_grad(p, [(g, 0, 5)])  # label outside classifier range
+        # label outside classifier range
+        loss_and_grad(p, [(g, 0, 5)], plan_of(p, [(g, 0)]))
     with pytest.raises(ModelError):
         GnnParams([np.zeros((2, 2))], activation="step")
 
@@ -334,6 +335,15 @@ def test_expand_classes_keeps_old_logits(rng):
         p.expand_classes(1)
 
 
+def test_checkpoint_keeps_a_file_name_without_npz(tmp_path, rng):
+    p = GnnParams.init(3, 4, 2, rng=rng)
+    path = str(tmp_path / "step0.ckpt")
+    save_params(p, path)
+    assert os.listdir(str(tmp_path)) == ["step0.ckpt"]
+    for a, b in zip(p.weights, load_params(path).weights):
+        assert np.array_equal(a, b)
+
+
 def test_forward_upto_is_last_hidden_layer(rng):
     g, _ = make_graph(rng, 10, 0.3, 3)
     p = GnnParams.init(3, 6, 2, layers=2, rng=rng)
@@ -343,14 +353,13 @@ def test_forward_upto_is_last_hidden_layer(rng):
         group = sorted(set(g.neighbors(v)) | {v})
         P[v, group] = 1.0 / len(group)
     H1 = np.maximum(P @ g.feature_matrix() @ p.weights[0][:-1] + p.weights[0][-1], 0.0)
-    got, plan = forward_batch(p, [(g, v) for v in range(n)], upto=1)
+    got = forward_batch(p, [(g, v) for v in range(n)], upto=1)
     assert np.allclose(got, H1, rtol=1e-12, atol=1e-12)
-    assert len(plan.mats) == 2  # a one-layer plan
     with pytest.raises(ModelError):
         forward_batch(p, [(g, 0)], upto=3)
     # one layer: embedding is the raw feature row
     p1 = GnnParams.init(3, 6, 2, layers=1, rng=rng)
-    got1, _ = forward_batch(p1, [(g, 4)], upto=0)
+    got1 = forward_batch(p1, [(g, 4)], upto=0)
     assert np.array_equal(got1[0], g.feature_row(4))
 
 
@@ -379,12 +388,12 @@ def test_frozen_plan_matches_fresh_plans_bitwise(rng, repeat):
                          fanout=2, rng=np.random.default_rng(5))
     for params in (p, q, p):
         got = loss_and_grad(params, batch, plan=plan)
-        want = loss_and_grad(params, batch, fanout=2,
-                             rng=np.random.default_rng(5))
+        want = loss_and_grad(params, batch, plan_of(
+            params, batch, 2, np.random.default_rng(5)))
         assert np.array_equal(got[0], want[0])
         for a, b in zip(got[1], want[1]):
             assert np.array_equal(a, b)
-    assert plan.views is None and not plan.first.flags.writeable
+    assert not plan.first.flags.writeable
 
 
 def test_reused_plan_reads_each_batchs_labels(rng):
@@ -394,7 +403,7 @@ def test_reused_plan_reads_each_batchs_labels(rng):
     plan = prepare_batch(2, [(view, v) for view, v, _lab in batch])
     loss_and_grad(p, batch, plan=plan)
     got = loss_and_grad(p, relabelled, plan=plan)
-    want = loss_and_grad(p, relabelled)
+    want = loss_and_grad(p, relabelled, plan_of(p, relabelled))
     assert np.array_equal(got[0], want[0])
     for a, b in zip(got[1], want[1]):
         assert np.array_equal(a, b)
@@ -420,7 +429,7 @@ def test_forward_upto_zero_gives_each_views_raw_rows(rng):
     pairs = [(view, v) for view, v, _lab in mixed_batch(rng)]
     pairs.append(pairs[0])
     p = GnnParams.init(3, 4, 2, rng=rng)
-    got, _ = forward_batch(p, pairs, upto=0)
+    got = forward_batch(p, pairs, upto=0)
     want = np.array([view.feature_row(v) for view, v in pairs])
     assert np.array_equal(got, want)
     assert not np.array_equal(got[1], got[2])  # node 3, frozen and live

@@ -40,7 +40,7 @@ def test_er_phase_hits_expected_degree():
         final = replay(generate(cfg), feature_dim=4)
         labels = final.labels_array()
         ids = np.flatnonzero(labels == 1)
-        means.append(np.mean([final.degree(int(v)) for v in ids]))
+        means.append(np.mean([len(final.neighbors(int(v))) for v in ids]))
     assert abs(np.mean(means) - 10.0) / 10.0 < 0.10
 
 

@@ -8,12 +8,12 @@ from cgnn.ewc import ewc_penalty, uniform_importance
 from cgnn.graph import EgoNet, GraphState, SnapshotDelta, freeze_ego
 from cgnn.harness import make_splits
 from cgnn.memory import MemoryEntry, ReplayMemory, load_memory
-from cgnn.model import GnnParams, load_params, loss_and_grad
+from cgnn.model import GnnParams, ModelError, load_params, loss_and_grad
 from cgnn.synth import generate
 from cgnn.train import MODELS, TrainConfig, detect_influenced, run_stream
 
 from conftest import random_stream
-from helpers import continual_step
+from helpers import continual_step, plan_of
 from test_digest import SYNTH
 
 
@@ -34,8 +34,6 @@ def test_config_validation():
         TrainConfig(detector="psychic")
     with pytest.raises(ValueError):
         TrainConfig(regularizer="l3")
-    with pytest.raises(ValueError):
-        TrainConfig(online_scope="everything")
     with pytest.raises(ValueError):
         TrainConfig(threshold_mode="ratio", threshold_value=2.0)
     with pytest.raises(ValueError):
@@ -64,18 +62,6 @@ def test_empty_delta_with_empty_memory_leaves_params_untouched(rng):
     assert params_equal(params2, before)
     assert report.trained == 0 and report.influenced == 0
     assert report.per_epoch_loss == []
-
-
-def test_continual_reduces_to_online_bitwise(rng):
-    deltas = random_stream(rng, 4, 12, 0.3, 4)
-    cfg_c = small_cfg(lam=0.0, memory_size=0)
-    cfg_o = small_cfg(lam=0.0, memory_size=0, online_scope="detector")
-    p_c, _, rep_c = run_stream("continual", deltas, cfg_c, 4)
-    p_o, _, rep_o = run_stream("online", deltas, cfg_o, 4)
-    assert params_equal(p_c, p_o)
-    for rc, ro in zip(rep_c, rep_o):
-        assert rc.trained == ro.trained
-        assert rc.influenced == ro.influenced
 
 
 def test_lambda_zero_matches_no_regularizer_bitwise(rng):
@@ -122,9 +108,10 @@ def test_full_batch_reports_the_loss_it_stepped_on(rng):
     # anchored away from the start, so the penalty is not zero there
     fisher = uniform_importance(train._init_params(cfg, 4, g.class_count(), 1))
     _params, losses, parts, _sec = train._train_epochs(
-        start, fresh, replayed, fisher, cfg, np.random.default_rng(0))
+        start, fresh, replayed, fisher, cfg, np.random.default_rng(0), 0)
     assert params_equal(start, before)
-    per_node, _grads = loss_and_grad(start, replayed + fresh)
+    batch = replayed + fresh
+    per_node, _grads = loss_and_grad(start, batch, plan_of(start, batch))
     pen = ewc_penalty(start, fisher, cfg.lam)[0]
     assert pen > 0
     assert parts[0] == (float(per_node[1:].sum()), float(per_node[0]), pen)
@@ -246,6 +233,50 @@ def test_checkpoint_continuation_is_exact(tmp_path, rng):
         assert ra.step == rb.step
         assert ra.per_epoch_loss == rb.per_epoch_loss
         assert ra.trained == rb.trained
+
+
+def test_empty_memory_checkpoint_round_trips(tmp_path, rng):
+    deltas = random_stream(rng, 3, 10, 0.3, 4)
+    cfg = small_cfg(memory_size=0)
+    ckdir = str(tmp_path / "ck")
+    p_full, m_full, rep_full = run_stream("continual", deltas, cfg, 4,
+                                          checkpoint_dir=ckdir)
+    mem1 = load_memory(os.path.join(ckdir, "step1.mem"))
+    assert mem1.capacity == mem1.size == 0 and mem1.seen
+    p_cont, m_cont, _ = run_stream(
+        "continual", deltas, cfg, 4, start_step=2,
+        init_params=load_params(rep_full[1].checkpoint_path), init_mem=mem1)
+    assert params_equal(p_cont, p_full)
+    assert m_cont.seen == m_full.seen
+
+
+def test_training_errors_name_the_step_and_epoch(rng, monkeypatch):
+    deltas = random_stream(rng, 3, 12, 0.3, 4)
+    real = train.loss_and_grad
+    calls = {}
+
+    def poisoned(params, batch, plan):
+        losses, grads = real(params, batch, plan)
+        step = batch[0][0].time
+        # full batch: one call per epoch
+        calls[step] = epoch = calls.get(step, -1) + 1
+        if (step, epoch) == (2, 1):
+            # a NaN loss too, so the full-batch retry keeps these gradients
+            return losses * np.nan, [g * np.nan for g in grads]
+        return losses, grads
+
+    monkeypatch.setattr(train, "loss_and_grad", poisoned)
+    with pytest.raises(ModelError) as err:
+        run_stream("online", deltas, small_cfg(batch_size=1 << 30), 4)
+    assert str(err.value) == "step 2, epoch 1: non-finite gradient entry"
+
+    g = GraphState.empty(4).apply_delta(deltas[0])
+    cfg = small_cfg()
+    with pytest.raises(ModelError) as err:
+        train._train_epochs(train._init_params(cfg, 4, 2, 0), [(g, 0, 5)],
+                            [], None, cfg, np.random.default_rng(0), 7)
+    assert str(err.value) == ("step 7, epoch 0: label outside the "
+                              "classifier range")
 
 
 def test_resume_after_an_attribute_shift_is_exact(tmp_path):
