@@ -1,15 +1,30 @@
 """Streaming attributed-graph store.
 
 A graph stream is a sequence of snapshot deltas. Applying delta t to the
-snapshot at time t-1 yields the snapshot at time t. Snapshots are immutable
-after construction, so views handed to downstream consumers (scoring,
-training, frozen replay entries) can never be corrupted by later stream
-activity.
+snapshot at time t-1 yields the snapshot at time t, and costs what the
+delta holds, not what the graph holds:
+
+- Feature rows live in one append-only row store, a growable float64
+  block that a snapshot shares with all its successors. A snapshot maps
+  each node to its row id. New nodes append their rows; an attribute
+  rewrite appends the new row and repoints its node. A written row never
+  changes, so an older snapshot, a frozen ego-net or a sibling branch of
+  the same parent keeps reading what it read when it was made.
+- Adjacency rows are sorted tuples; a delta rebuilds only the rows of its
+  edge endpoints and shares every other row by identity.
+- A delta's new rows, rewrites and edges are checked as arrays, all before
+  anything is appended. A delta that fails a check is checked again one
+  item at a time, so the error names the first offending node or edge.
+
+Snapshots are immutable after construction, so views handed to
+downstream consumers (scoring, training, frozen replay entries) can never
+be corrupted by later stream activity.
 """
 
+import contextlib
 import os
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
@@ -25,7 +40,7 @@ _FEATURE_TOL = 1e-9
 FEATURE_DECIMALS = 10
 
 # The stream file set, each stored as <name>.txt in one directory.
-STREAM_FILES = ("edges", "features", "labels", "schedule")
+STREAM_FILES = ("edges", "features", "labels", "schedule", "attrs")
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,7 +76,11 @@ class SnapshotDelta:
 
 
 def _check_feature_row(row, dim, what):
-    row = np.asarray(row, dtype=np.float64)
+    try:
+        row = np.asarray(row, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise GraphError("%s: feature values are not numbers (%s)"
+                         % (what, exc)) from None
     if row.ndim != 1 or (dim is not None and row.shape[0] != dim):
         raise GraphError("%s: feature dimension mismatch (got %r, want %r)"
                          % (what, row.shape, dim))
@@ -71,20 +90,195 @@ def _check_feature_row(row, dim, what):
     return row
 
 
+def _row_block(rows, dim):
+    """The rows as one (len(rows), dim) float64 block, or None unless each
+    is a 1-D row of dim values in [0, 1]; dim None takes the first row's
+    width."""
+    if not rows:
+        return np.zeros((0, dim or 0), dtype=np.float64)
+    block = np.array(rows, dtype=np.float64)
+    if block.ndim != 2 or dim not in (None, block.shape[1]):
+        return None
+    if block.size and not (block.min() >= -_FEATURE_TOL
+                           and block.max() <= 1.0 + _FEATURE_TOL):
+        return None
+    return block
+
+
+def _pair_block(pairs):
+    """The (u, v) pairs as an (m, 2) int64 block, or None."""
+    if not len(pairs):
+        return np.zeros((0, 2), dtype=np.int64)
+    block = np.array(pairs, dtype=np.int64)
+    return block if block.shape == (len(pairs), 2) else None
+
+
+def _member(sorted_codes, codes):
+    """Whether each code occurs in the sorted array sorted_codes."""
+    if not len(sorted_codes):
+        return np.zeros(len(codes), dtype=bool)
+    at = sorted_codes.searchsorted(codes)
+    return sorted_codes.take(at, mode="clip") == codes
+
+
+def _parse(delta, n, dim, adj):
+    """A delta's checked parts, made with array checks: (new rows, their
+    labels, next adjacency, rewritten ids, their rows). None when a check
+    fails. dim None lets the new rows set the width."""
+    new_nodes = delta.new_nodes
+    k = len(new_nodes)
+    if [nid for nid, _feat, _lab in new_nodes] != list(range(n, n + k)):
+        return None
+    labels = [lab for _nid, _feat, lab in new_nodes]
+    if any(lab is not None and lab < 0 for lab in labels):
+        return None
+    new_rows = _row_block([feat for _nid, feat, _lab in new_nodes], dim)
+    if new_rows is None:
+        return None
+    labels = np.array([-1 if lab is None else lab for lab in labels],
+                      dtype=np.int64)
+
+    # Edges as int64 codes: u * total + v for the directed pair (u, v).
+    total = n + k
+    adds = _pair_block(delta.edge_adds)
+    removes = _pair_block(delta.edge_removes)
+    if adds is None or removes is None:
+        return None
+    pairs = np.concatenate([adds, removes])
+    lo, hi = pairs.min(axis=1), pairs.max(axis=1)
+    if len(pairs) and (lo.min() < 0 or hi.max() >= total
+                       or (lo == hi).any()):
+        return None
+    keys = np.sort(lo * total + hi)
+    if (keys[1:] == keys[:-1]).any():
+        return None
+    adj = list(adj) + [()] * k
+    touched = np.unique(pairs)
+    ids = touched.tolist()
+    rows = [adj[w] for w in ids]
+    src = np.repeat(touched, [len(row) for row in rows])
+    codes = src * total + np.fromiter(chain.from_iterable(rows), np.int64,
+                                      len(src))
+    added = adds[:, 0] * total + adds[:, 1]
+    removed = removes[:, 0] * total + removes[:, 1]
+    if _member(codes, added).any() or not _member(codes, removed).all():
+        return None
+
+    attr_ids = np.array([nid for nid, _feat in delta.attr_changes],
+                        dtype=np.int64)
+    if len(attr_ids) and (attr_ids.min() < 0 or attr_ids.max() >= total
+                          or len(np.unique(attr_ids)) < len(attr_ids)):
+        return None
+    attr_rows = _row_block([feat for _nid, feat in delta.attr_changes],
+                           new_rows.shape[1] if dim is None else dim)
+    if attr_rows is None:
+        return None
+
+    # Only edge endpoints get new rows; every other row tuple is shared.
+    gone = np.sort(np.concatenate(
+        [removed, removes[:, 1] * total + removes[:, 0]]))
+    codes = np.sort(np.concatenate(
+        [codes[~_member(gone, codes)], added,
+         adds[:, 1] * total + adds[:, 0]]))
+    starts = codes.searchsorted(touched * total).tolist()
+    stops = codes.searchsorted((touched + 1) * total).tolist()
+    nbrs = (codes % total).tolist()
+    for w, a, b in zip(ids, starts, stops):
+        adj[w] = tuple(nbrs[a:b])
+    return new_rows, labels, adj, attr_ids, attr_rows
+
+
+def _refuse(delta, n, dim, adj):
+    """Raise the GraphError that names a delta's first fault.
+
+    The checks of _parse, one item at a time, in the order new nodes, edge
+    pairs, edge presence, attribute changes.
+    """
+    rows = []
+    for nid, feat, lab in delta.new_nodes:
+        if nid != n + len(rows):
+            raise GraphError("new node id %d breaks the contiguous id range" % nid)
+        if lab is not None and lab < 0:
+            raise GraphError("negative class label for node %d" % nid)
+        rows.append(_check_feature_row(feat, dim, "new node %d" % nid))
+        dim = rows[0].shape[0]
+
+    total = n + len(rows)
+    seen_pairs = set()
+    for u, v in chain(delta.edge_adds, delta.edge_removes):
+        if u == v:
+            raise GraphError("self loop (%d, %d) rejected" % (u, v))
+        if not (0 <= u < total and 0 <= v < total):
+            raise GraphError("edge (%d, %d) references unknown node" % (u, v))
+        key = (min(u, v), max(u, v))
+        if key in seen_pairs:
+            raise GraphError("duplicate edge pair %r within one delta" % (key,))
+        seen_pairs.add(key)
+    for u, v in delta.edge_adds:
+        if u < n and v in adj[u]:
+            raise GraphError("edge (%d, %d) already present" % (u, v))
+    for u, v in delta.edge_removes:
+        if u >= n or v not in adj[u]:
+            raise GraphError("removal of absent edge (%d, %d)" % (u, v))
+
+    attr_seen = set()
+    for nid, feat in delta.attr_changes:
+        if not (0 <= nid < total):
+            raise GraphError("attribute change for unknown node %d" % nid)
+        if nid in attr_seen:
+            raise GraphError("node %d changed twice within one delta" % nid)
+        attr_seen.add(nid)
+        _check_feature_row(feat, dim, "attr change %d" % nid)
+    raise GraphError("delta %d failed a check of its arrays" % delta.time)
+
+
+class _RowStore:
+    """Append-only float64 feature rows, shared by a snapshot and its
+    successors.
+
+    Rows are appended after the filled ones and never written again. The
+    block doubles when it is full; rows is its read-only view.
+    """
+
+    __slots__ = ("_block", "rows", "fill")
+
+    def __init__(self, dim):
+        self._block = np.zeros((0, dim), dtype=np.float64)
+        self.rows = self._block.view()
+        self.rows.setflags(write=False)
+        self.fill = 0
+
+    def append(self, block):
+        """Write a checked block after the filled rows; returns its row ids."""
+        start, stop = self.fill, self.fill + len(block)
+        if stop > len(self._block):
+            grown = np.empty((max(stop, 2 * len(self._block)),
+                              self._block.shape[1]))
+            grown[:start] = self._block[:start]
+            self._block = grown
+            self.rows = grown.view()
+            self.rows.setflags(write=False)
+        self._block[start:stop] = block
+        self.fill = stop
+        return np.arange(start, stop, dtype=np.int64)
+
+
 class GraphState:
-    """Immutable snapshot: adjacency, feature matrix, optional labels.
+    """Immutable snapshot: adjacency, feature rows, optional labels.
 
     Node ids are dense ints 0..n-1 in arrival order. Adjacency rows are
     sorted tuples, duplicate free and never contain the node itself; the
-    next snapshot shares every row its delta leaves alone.
+    next snapshot shares every row its delta leaves alone. Feature rows are
+    read through the node's row id in the shared row store.
     """
 
-    __slots__ = ("_adj", "_features", "_labels", "time")
+    __slots__ = ("_adj", "_store", "_rowid", "_labels", "time")
 
-    def __init__(self, adj, features, labels, time):
+    def __init__(self, adj, store, rowid, labels, time):
         self._adj = adj
-        self._features = features
-        self._features.setflags(write=False)
+        self._store = store
+        self._rowid = rowid
+        self._rowid.setflags(write=False)
         self._labels = labels
         self._labels.setflags(write=False)
         self.time = time
@@ -92,7 +286,7 @@ class GraphState:
     @classmethod
     def empty(cls, feature_dim):
         """Pre-stream snapshot. Applying the t=0 delta gives the t=0 graph."""
-        return cls([], np.zeros((0, feature_dim), dtype=np.float64),
+        return cls([], _RowStore(feature_dim), np.zeros(0, dtype=np.int64),
                    np.zeros(0, dtype=np.int64) - 1, -1)
 
     @property
@@ -101,7 +295,7 @@ class GraphState:
 
     @property
     def feature_dim(self):
-        return self._features.shape[1]
+        return self._store.rows.shape[1]
 
     def neighbors(self, v):
         return self._adj[v]
@@ -110,14 +304,17 @@ class GraphState:
         return v in self._adj[u]
 
     def feature_row(self, v):
-        return self._features[v]
+        return self._store.rows[self._rowid[v]]
 
     def feature_rows(self, nodes):
         """The feature rows of an int array of nodes, as a new block."""
-        return self._features[nodes]
+        return self._store.rows[self._rowid[nodes]]
 
     def feature_matrix(self):
-        return self._features
+        """Every node's feature row, built anew: for tests and checks."""
+        out = self._store.rows[self._rowid]
+        out.setflags(write=False)
+        return out
 
     def label(self, v):
         lab = self._labels[v]
@@ -136,69 +333,25 @@ class GraphState:
             raise GraphError("delta time %d does not follow snapshot time %d"
                              % (delta.time, self.time))
         n = self.n
-        dim = self.feature_dim
+        # a store made without a width takes the first new rows' width
+        dim = self.feature_dim if n or self.feature_dim else None
+        try:
+            parts = _parse(delta, n, dim, self._adj)
+        except (TypeError, ValueError, OverflowError):
+            parts = None
+        if parts is None:
+            _refuse(delta, n, dim, self._adj)
+        new_rows, new_labels, adj, attr_ids, attr_rows = parts
 
-        new_rows = []
-        new_labels = []
-        for nid, feat, lab in delta.new_nodes:
-            if nid != n + len(new_rows):
-                raise GraphError("new node id %d breaks the contiguous id range" % nid)
-            if lab is not None and lab < 0:
-                raise GraphError("negative class label for node %d" % nid)
-            new_rows.append(_check_feature_row(feat, dim if dim else None,
-                                               "new node %d" % nid))
-            new_labels.append(-1 if lab is None else int(lab))
-        if new_rows and dim == 0:
-            dim = new_rows[0].shape[0]
-            for row in new_rows:
-                _check_feature_row(row, dim, "new node")
-
-        total = n + len(new_rows)
-        pairs = list(delta.edge_adds) + list(delta.edge_removes)
-        seen_pairs = set()
-        for u, v in pairs:
-            if u == v:
-                raise GraphError("self loop (%d, %d) rejected" % (u, v))
-            if not (0 <= u < total and 0 <= v < total):
-                raise GraphError("edge (%d, %d) references unknown node" % (u, v))
-            key = (min(u, v), max(u, v))
-            if key in seen_pairs:
-                raise GraphError("duplicate edge pair %r within one delta" % (key,))
-            seen_pairs.add(key)
-
-        # Only edge endpoints get new rows; every other row tuple is shared.
-        adj = list(self._adj) + [()] * len(new_rows)
-        rows = {w: set(adj[w]) for w in {w for pair in pairs for w in pair}}
-        for u, v in delta.edge_adds:
-            if v in rows[u]:
-                raise GraphError("edge (%d, %d) already present" % (u, v))
-            rows[u].add(v)
-            rows[v].add(u)
-        for u, v in delta.edge_removes:
-            if v not in rows[u]:
-                raise GraphError("removal of absent edge (%d, %d)" % (u, v))
-            rows[u].remove(v)
-            rows[v].remove(u)
-        for v, nbrs in rows.items():
-            adj[v] = tuple(sorted(nbrs))
-
-        features = np.concatenate([
-            self._features.reshape(n, dim),
-            np.array(new_rows, dtype=np.float64).reshape(len(new_rows), dim)])
-        labels = np.concatenate([self._labels,
-                                 np.array(new_labels, dtype=np.int64)])
-
-        attr_seen = set()
-        for nid, feat in delta.attr_changes:
-            if not (0 <= nid < total):
-                raise GraphError("attribute change for unknown node %d" % nid)
-            if nid in attr_seen:
-                raise GraphError("node %d changed twice within one delta" % nid)
-            attr_seen.add(nid)
-            features[nid] = _check_feature_row(feat, dim,
-                                               "attr change %d" % nid)
-
-        return GraphState(adj, features, labels, delta.time)
+        store, rowid, labels = self._store, self._rowid, self._labels
+        if dim is None and len(new_rows):
+            store = _RowStore(new_rows.shape[1])
+        if len(new_rows) or len(attr_rows):
+            rowid = np.concatenate([rowid, store.append(new_rows)])
+            rowid[attr_ids] = store.append(attr_rows)
+        if len(new_labels):
+            labels = np.concatenate([labels, new_labels])
+        return GraphState(adj, store, rowid, labels, delta.time)
 
 
 def replay(deltas, feature_dim=0):
@@ -292,7 +445,7 @@ def freeze_ego(view, center, depth):
                       np.maximum(src, dst)[keep]], axis=1)
     edges = edges[np.lexsort((edges[:, 1], edges[:, 0]))]
     nodes = np.union1d([center], dst)
-    return EgoNet(center, depth, nodes, edges, view.feature_matrix()[nodes])
+    return EgoNet(center, depth, nodes, edges, view.feature_rows(nodes))
 
 
 # ---------------------------------------------------------------------------
@@ -304,6 +457,8 @@ def freeze_ego(view, center, depth):
 #                step is the node's arrival step
 # schedule file: "step node_count" per line; when present it assigns arrival
 #                steps to nodes in id order and overrides the labels file
+# attrs file:    "node step v1 ... vd" per line, when present: at the step,
+#                the node's feature row is rewritten to v1 ... vd
 # Node ids arrive in non-negative, non-decreasing steps.
 # ---------------------------------------------------------------------------
 
@@ -344,11 +499,39 @@ def _edge_fields(parts):
     return int(parts[0]), int(parts[1]), int(parts[2]), removal
 
 
+def _attr_fields(parts):
+    return int(parts[0]), int(parts[1]), np.array([float(x) for x in parts[2:]])
+
+
 _ORDER = "arrival steps must be non-negative and non-decreasing in node id"
 
 
-def load_stream(edges_path, features_path, labels_path, schedule_path=None):
-    """Parse stream files into the delta sequence that replays the graph."""
+def _load_attrs(path, n, dim, arrival):
+    """The rewrites of an attrs file: {step: {node: feature row}}."""
+    attrs = {}
+    for lineno, (nid, t, row) in _records(
+            path, (dim + 2,), "'node step' and %d feature values" % dim,
+            _attr_fields):
+        if not 0 <= nid < n:
+            raise _parse_error(path, lineno, "node %d has no feature row" % nid)
+        if arrival[nid] > t:
+            raise _parse_error(path, lineno, "node %d arrives after step %d"
+                               % (nid, t))
+        if not ((row >= -_FEATURE_TOL) & (row <= 1.0 + _FEATURE_TOL)).all():
+            raise _parse_error(path, lineno, "feature values outside [0, 1]")
+        if nid in attrs.setdefault(t, {}):
+            raise _parse_error(path, lineno, "node %d rewritten twice at step %d"
+                               % (nid, t))
+        attrs[t][nid] = row
+    return attrs
+
+
+def load_stream(edges_path, features_path, labels_path, schedule_path=None,
+                attrs_path=None):
+    """Parse stream files into the delta sequence that replays the graph.
+
+    The schedule and attrs files are read only if they exist.
+    """
     records = list(_records(
         features_path, None, "as many values as the first row",
         lambda parts: np.array([float(x) for x in parts])))
@@ -419,8 +602,13 @@ def load_stream(edges_path, features_path, labels_path, schedule_path=None):
         (edge_removes if removal else edge_adds).setdefault(t, []).append(
             (min(u, v), max(u, v)))
 
+    attrs = {}
+    if attrs_path is not None and os.path.exists(attrs_path):
+        attrs = _load_attrs(attrs_path, n, len(features[0]) if n else 0,
+                            arrival)
+
     steps = max([steps, *(t + 1 for t in
-                          [*arrival[-1:], *edge_adds, *edge_removes])])
+                          [*arrival[-1:], *edge_adds, *edge_removes, *attrs])])
     starts = np.searchsorted(arrival, np.arange(steps + 1)).tolist()
 
     deltas = []
@@ -436,9 +624,10 @@ def load_stream(edges_path, features_path, labels_path, schedule_path=None):
                 adds.append(key)
         removes = tuple(sorted(edge_removes.get(t, [])))
         present.difference_update(removes)
-        deltas.append(SnapshotDelta(time=t, new_nodes=new_nodes,
-                                    edge_adds=tuple(sorted(adds)),
-                                    edge_removes=removes))
+        deltas.append(SnapshotDelta(
+            time=t, new_nodes=new_nodes, edge_adds=tuple(sorted(adds)),
+            edge_removes=removes,
+            attr_changes=tuple(sorted(attrs.get(t, {}).items()))))
     return deltas
 
 
@@ -447,8 +636,9 @@ def write_stream(deltas, out_dir):
 
     Feature rows are written with FEATURE_DECIMALS decimal places; callers
     that need byte-exact round-trips must quantize features to that
-    precision before building the deltas. Attribute-change deltas have no
-    file representation and are rejected.
+    precision before building the deltas. The attrs file is written only
+    when a delta rewrites a feature row, and any earlier one is removed
+    otherwise. A delta's rewrites load back in node order.
     """
     os.makedirs(out_dir, exist_ok=True)
     fmt = "%%.%df" % FEATURE_DECIMALS
@@ -457,9 +647,8 @@ def write_stream(deltas, out_dir):
     labels = []
     counts = []
     edge_lines = []
+    attr_lines = []
     for delta in deltas:
-        if delta.attr_changes:
-            raise GraphError("attribute changes have no stream-file form")
         counts.append("%d %d" % (delta.time, len(delta.new_nodes)))
         for nid, feat, lab in delta.new_nodes:
             if nid != len(rows):
@@ -470,10 +659,18 @@ def write_stream(deltas, out_dir):
             edge_lines.append("%d %d %d" % (u, v, delta.time))
         for u, v in delta.edge_removes:
             edge_lines.append("%d %d %d -" % (u, v, delta.time))
+        for nid, feat in delta.attr_changes:
+            attr_lines.append("%d %d %s" % (nid, delta.time,
+                                            " ".join(fmt % x for x in feat)))
 
     paths = {}
-    for name, lines in zip(STREAM_FILES, (edge_lines, rows, labels, counts)):
+    for name, lines in zip(STREAM_FILES,
+                           (edge_lines, rows, labels, counts, attr_lines)):
         paths[name] = os.path.join(out_dir, name + ".txt")
+        if name == "attrs" and not lines:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(paths.pop(name))
+            continue
         with open(paths[name], "w") as fh:
             fh.write("".join(line + "\n" for line in lines))
     return paths

@@ -113,15 +113,17 @@ def _init_params(cfg, in_dim, out_dim, step):
                           cfg.layers, rng=rng)
 
 
-def detect_influenced(params, g_prev, g_t, delta, cfg):
+def detect_influenced(params, g_prev, g_t, delta, cfg, seeds=None):
     """Influenced-node set for one delta plus the wall time spent.
 
     The threshold is applied over the changed nodes and their depth-hop
     ball, whichever detector produced the scores, so detector choices stay
     comparable. Nodes that just arrived are influenced by definition.
+    seeds, when given, is delta.changed_nodes().
     """
     new_ids = {nid for nid, _f, _l in delta.new_nodes}
-    seeds = delta.changed_nodes()
+    if seeds is None:
+        seeds = delta.changed_nodes()
     if not seeds:
         return set(), 0.0
     start = time.perf_counter()
@@ -129,9 +131,9 @@ def detect_influenced(params, g_prev, g_t, delta, cfg):
     if cfg.detector == "naive":
         raw = score_naive(params, g_prev, g_t, range(g_t.n))
     elif cfg.detector == "bfs":
-        raw = score_bfs(params, g_prev, g_t, delta)
+        raw = score_bfs(params, g_prev, g_t, delta, seeds)
     else:
-        raw = score_approx(params, g_prev, g_t, delta)
+        raw = score_approx(params, g_prev, g_t, delta, seeds=seeds)
     rule = ThresholdRule(cfg.threshold_mode, cfg.threshold_value)
     pool_scores = {u: raw.get(u, 0.0) for u in sorted(pool)}
     influenced = select_influenced(pool_scores, rule) | new_ids
@@ -276,11 +278,12 @@ def _step(model, params, mem, g_prev, delta, cfg, rng, train_nodes=None,
     elif mode.expand and g_t.class_count() > params.out_dim:
         params = params.expand_classes(g_t.class_count())
 
+    changed = delta.changed_nodes()
     influenced = set()
     det_seconds = 0.0
     if mode.scope == "influenced":
         influenced, det_seconds = detect_influenced(params, g_prev, g_t,
-                                                    delta, cfg)
+                                                    delta, cfg, changed)
         train_ids = sorted(
             v for v in influenced if g_t.label(v) is not None
             and (train_nodes is None or v in train_nodes))
@@ -308,7 +311,7 @@ def _step(model, params, mem, g_prev, delta, cfg, rng, train_nodes=None,
     if mode.replay:
         mem = update_memory(mem, train_ids, g_t, params.layer_count, rng)
 
-    report = StepReport(step=g_t.time, changed=len(delta.changed_nodes()),
+    report = StepReport(step=g_t.time, changed=len(changed),
                         influenced=len(influenced), trained=len(fresh),
                         replayed=len(replayed), per_epoch_loss=losses,
                         loss_parts=parts, epoch_seconds=seconds,

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,13 +13,24 @@ from conftest import make_graph, random_stream
 from helpers import deltas_equal
 
 
-def small_graph():
+def small_delta():
     feats = np.linspace(0, 1, 12).reshape(4, 3)
-    delta = SnapshotDelta(time=0,
-                          new_nodes=tuple((v, feats[v], v % 2)
-                                          for v in range(4)),
-                          edge_adds=((0, 1), (1, 2), (2, 3)))
-    return GraphState.empty(3).apply_delta(delta)
+    return SnapshotDelta(time=0,
+                         new_nodes=tuple((v, feats[v], v % 2)
+                                         for v in range(4)),
+                         edge_adds=((0, 1), (1, 2), (2, 3)))
+
+
+def small_graph():
+    return GraphState.empty(3).apply_delta(small_delta())
+
+
+def assert_same_snapshot(a, b):
+    assert (a.time, a.n, a.feature_dim) == (b.time, b.n, b.feature_dim)
+    assert np.array_equal(a.feature_matrix(), b.feature_matrix())
+    assert np.array_equal(a.labels_array(), b.labels_array())
+    for v in range(a.n):
+        assert a.neighbors(v) == b.neighbors(v), v
 
 
 def test_empty_delta_keeps_content_and_advances_time():
@@ -103,23 +116,61 @@ def test_rejects_malformed_deltas():
     g = small_graph()
     feat = np.full(3, 0.5)
     cases = [
-        SnapshotDelta(time=1, edge_adds=((0, 0),)),            # self loop
-        SnapshotDelta(time=1, edge_adds=((0, 9),)),            # unknown node
-        SnapshotDelta(time=1, edge_adds=((0, 2), (2, 0))),     # dup pair
-        SnapshotDelta(time=1, edge_adds=((0, 1),)),            # already present
-        SnapshotDelta(time=1, edge_removes=((0, 3),)),         # absent edge
-        SnapshotDelta(time=1, edge_adds=((0, 3),), edge_removes=((3, 0),)),
-        SnapshotDelta(time=1, attr_changes=((9, feat),)),
-        SnapshotDelta(time=1, attr_changes=((1, feat), (1, feat))),
-        SnapshotDelta(time=1, attr_changes=((1, np.full(2, 0.5)),)),
-        SnapshotDelta(time=1, attr_changes=((1, np.full(3, 1.5)),)),
-        SnapshotDelta(time=1, attr_changes=((1, np.full(3, np.nan)),)),
-        SnapshotDelta(time=1, new_nodes=((4, np.full(3, -0.2), 0),)),
-        SnapshotDelta(time=1, new_nodes=((4, feat, -3),)),
+        (SnapshotDelta(time=1, edge_adds=((0, 0),)), r"self loop \(0, 0\)"),
+        (SnapshotDelta(time=1, edge_adds=((0, 9),)),
+         r"edge \(0, 9\) references unknown node"),
+        (SnapshotDelta(time=1, edge_adds=((0, 2), (2, 0))),
+         r"duplicate edge pair \(0, 2\)"),
+        (SnapshotDelta(time=1, edge_adds=((0, 1),)),
+         r"edge \(0, 1\) already present"),
+        (SnapshotDelta(time=1, edge_removes=((0, 3),)),
+         r"removal of absent edge \(0, 3\)"),
+        (SnapshotDelta(time=1, edge_adds=((0, 3),), edge_removes=((3, 0),)),
+         r"duplicate edge pair \(0, 3\)"),
+        # a later removal of an absent edge is named, not the first one
+        (SnapshotDelta(time=1, edge_removes=((0, 1), (1, 3))),
+         r"removal of absent edge \(1, 3\)"),
+        (SnapshotDelta(time=1, attr_changes=((9, feat),)),
+         "attribute change for unknown node 9"),
+        (SnapshotDelta(time=1, attr_changes=((1, feat), (1, feat))),
+         "node 1 changed twice"),
+        (SnapshotDelta(time=1, attr_changes=((1, np.full(2, 0.5)),)),
+         r"attr change 1: feature dimension mismatch \(got \(2,\), want 3\)"),
+        (SnapshotDelta(time=1, attr_changes=((1, np.full(3, 1.5)),)),
+         r"attr change 1: feature values outside \[0, 1\]"),
+        (SnapshotDelta(time=1, attr_changes=((1, np.full(3, np.nan)),)),
+         r"attr change 1: feature values outside \[0, 1\]"),
+        (SnapshotDelta(time=1, attr_changes=((1, [0.5, 0.5, "x"]),)),
+         "attr change 1: feature values are not numbers"),
+        (SnapshotDelta(time=1, new_nodes=((4, np.full(3, -0.2), 0),)),
+         r"new node 4: feature values outside \[0, 1\]"),
+        (SnapshotDelta(time=1, new_nodes=((4, feat, -3),)),
+         "negative class label for node 4"),
+        (SnapshotDelta(time=1, new_nodes=((5, feat, 0),)),
+         "new node id 5 breaks the contiguous id range"),
+        # with several faults, the new nodes are named before the edges
+        (SnapshotDelta(time=1, new_nodes=((4, feat, 0), (5, feat, -1)),
+                       edge_adds=((2, 2),)),
+         "negative class label for node 5"),
     ]
-    for delta in cases:
-        with pytest.raises(GraphError):
+    fill = g._store.fill
+    for delta, match in cases:
+        with pytest.raises(GraphError, match=match):
             g.apply_delta(delta)
+    # the first rows set the width of a store made without one
+    with pytest.raises(GraphError, match=r"new node 1: feature dimension "
+                       r"mismatch \(got \(2,\), want 3\)"):
+        GraphState.empty(0).apply_delta(SnapshotDelta(
+            time=0, new_nodes=((0, np.full(3, 0.5), 0),
+                               (1, np.full(2, 0.5), 1))))
+
+    # a refused delta leaves its parent as it was, and the store unwritten
+    assert g._store.fill == fill
+    valid = SnapshotDelta(time=1, new_nodes=((4, feat, 1),),
+                          edge_adds=((0, 3), (3, 4)), edge_removes=((1, 2),),
+                          attr_changes=((1, np.full(3, 0.25)),))
+    assert_same_snapshot(g.apply_delta(valid), replay([small_delta(), valid]))
+    assert_same_snapshot(g, small_graph())
 
 
 def test_symmetry_and_degree_against_dense_oracle(rng):
@@ -334,7 +385,7 @@ def test_loader_rejects_bad_files(tmp_path):
 def test_loader_names_the_line_of_a_bad_arrival(tmp_path, labels, schedule,
                                                 where):
     texts = {"edges": "", "features": "0.1 0.2\n0.3 0.4\n",
-             "labels": labels, "schedule": schedule}
+             "labels": labels, "schedule": schedule, "attrs": None}
     for name in STREAM_FILES:
         if texts[name] is not None:
             (tmp_path / (name + ".txt")).write_text(texts[name])
@@ -379,46 +430,148 @@ def test_loader_drops_an_add_of_a_present_edge(tmp_path):
     assert replay(deltas, 2).has_edge(0, 1)
 
 
+def _draw_row(draw):
+    return np.array(draw(st.lists(st.integers(0, 1000), min_size=2,
+                                  max_size=2))) / 1000.0
+
+
+def _draw_delta(draw, t, n, present, rewrites):
+    """One delta at step t on n nodes with the present edges: new nodes,
+    adds, removals and, if asked, rewrites in node order. Returns it with
+    the next node count and edge set."""
+    count = draw(st.integers(0 if t else 1, 3))
+    new_nodes = tuple((n + j, _draw_row(draw),
+                       draw(st.none() | st.integers(0, 2)))
+                      for j in range(count))
+    n += count
+    pairs = set()
+    if n >= 2:
+        pairs = set(draw(st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+            .filter(lambda p: p[0] != p[1])
+            .map(lambda p: (min(p), max(p))),
+            max_size=6)))
+    adds = tuple(sorted(pairs - present))
+    removes = tuple(sorted(pairs & present))
+    rewritten = sorted(draw(st.sets(st.integers(0, n - 1), max_size=3))
+                       if rewrites and n else ())
+    delta = SnapshotDelta(time=t, new_nodes=new_nodes, edge_adds=adds,
+                          edge_removes=removes,
+                          attr_changes=tuple((v, _draw_row(draw))
+                                             for v in rewritten))
+    return delta, n, (present | set(adds)) - set(removes)
+
+
 @st.composite
-def edge_histories(draw):
+def edge_histories(draw, rewrites=False):
     """Delta sequences whose edges get added, removed and added again."""
     deltas = []
-    n = 0
-    present = set()
+    n, present = 0, set()
     for t in range(draw(st.integers(1, 6))):
-        count = draw(st.integers(0 if t else 1, 3))
-        new_nodes = tuple(
-            (n + j,
-             np.array(draw(st.lists(st.integers(0, 1000), min_size=2,
-                                    max_size=2))) / 1000.0,
-             draw(st.none() | st.integers(0, 2)))
-            for j in range(count))
-        n += count
-        pairs = set()
-        if n >= 2:
-            pairs = set(draw(st.lists(
-                st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
-                .filter(lambda p: p[0] != p[1])
-                .map(lambda p: (min(p), max(p))),
-                max_size=6)))
-        adds = tuple(sorted(pairs - present))
-        removes = tuple(sorted(pairs & present))
-        present = (present | set(adds)) - set(removes)
-        deltas.append(SnapshotDelta(time=t, new_nodes=new_nodes,
-                                    edge_adds=adds, edge_removes=removes))
+        delta, n, present = _draw_delta(draw, t, n, present, rewrites)
+        deltas.append(delta)
     return deltas
 
 
 @settings(max_examples=60, deadline=None)
-@given(edge_histories())
+@given(edge_histories(rewrites=True))
 def test_stream_files_round_trip_any_edge_history(tmp_path_factory, deltas):
     out = str(tmp_path_factory.mktemp("stream"))
     paths = write_stream(deltas, out)
-    loaded = load_stream(paths["edges"], paths["features"], paths["labels"],
-                         paths["schedule"])
+    # the attrs file exists only for a history that rewrites a row
+    assert ("attrs" in paths) == any(d.attr_changes for d in deltas)
+    loaded = load_stream(*(os.path.join(out, name + ".txt")
+                           for name in STREAM_FILES))
     assert len(loaded) == len(deltas)
     for a, b in zip(deltas, loaded):
         assert deltas_equal(a, b)
+
+
+@st.composite
+def branched_histories(draw):
+    """A history with rewrites, a step b, and a second successor of the
+    snapshot that the first b deltas make."""
+    deltas = []
+    states = [(0, set())]
+    for t in range(draw(st.integers(1, 5))):
+        delta, n, present = _draw_delta(draw, t, *states[-1], True)
+        deltas.append(delta)
+        states.append((n, present))
+    b = draw(st.integers(0, len(deltas)))
+    return deltas, b, _draw_delta(draw, b, *states[b], True)[0]
+
+
+def _dense_fold(deltas, dim):
+    """Features, labels and a dense adjacency matrix of a delta prefix."""
+    feats, labels, edges = [], [], set()
+    for d in deltas:
+        for _nid, feat, lab in d.new_nodes:
+            feats.append(feat)
+            labels.append(-1 if lab is None else lab)
+        edges = (edges | set(d.edge_adds)) - set(d.edge_removes)
+        for nid, feat in d.attr_changes:
+            feats[nid] = feat
+    n = len(feats)
+    dense = np.zeros((n, n), dtype=bool)
+    for u, v in edges:
+        dense[u, v] = dense[v, u] = True
+    return np.array(feats).reshape(n, dim), np.array(labels), dense
+
+
+@settings(max_examples=60, deadline=None)
+@given(branched_histories())
+def test_snapshots_persist_through_later_steps_and_branches(history):
+    deltas, b, branch = history
+    snaps = [GraphState.empty(2)]
+    for d in deltas + [branch]:
+        parent = snaps[-1] if len(snaps) <= len(deltas) else snaps[b]
+        fill = parent._store.fill
+        snaps.append(parent.apply_delta(d))
+        # one store, grown by the step's new rows and rewrites alone
+        assert snaps[-1]._store is snaps[0]._store
+        assert snaps[-1]._store.fill - fill == (len(d.new_nodes)
+                                                + len(d.attr_changes))
+    prefixes = [deltas[:i] for i in range(len(deltas) + 1)]
+    for snap, prefix in zip(snaps, prefixes + [deltas[:b] + [branch]]):
+        feats, labels, dense = _dense_fold(prefix, 2)
+        assert np.array_equal(snap.feature_matrix(), feats)
+        assert np.array_equal(snap.labels_array(), labels)
+        for v in range(snap.n):
+            assert snap.neighbors(v) == tuple(np.flatnonzero(dense[v])), v
+
+
+@pytest.mark.parametrize("attrs, where", [
+    ("0 0 0.5\n", "attrs.txt:1: expected 'node step' and 2"),
+    ("\n1 1 0.5 x\n", "attrs.txt:2: could not convert"),
+    ("2 1 0.5 0.5\n", "attrs.txt:1: node 2 has no feature row"),
+    ("1 0 0.5 0.5\n", "attrs.txt:1: node 1 arrives after step 0"),
+    ("0 1 0.5 1.5\n", r"attrs.txt:1: feature values outside \[0, 1\]"),
+    ("0 1 0.5 0.5\n0 1 0.1 0.1\n",
+     "attrs.txt:2: node 0 rewritten twice at step 1"),
+], ids=["arity", "field", "unknown-node", "before-arrival", "range", "twice"])
+def test_loader_names_the_line_of_a_bad_rewrite(tmp_path, attrs, where):
+    texts = {"edges": "", "features": "0.1 0.2\n0.3 0.4\n",
+             "labels": "0 0 0\n1 1 1\n", "schedule": "0 1\n1 1\n",
+             "attrs": attrs}
+    for name in STREAM_FILES:
+        (tmp_path / (name + ".txt")).write_text(texts[name])
+    with pytest.raises(GraphError, match=where):
+        load_stream(*(str(tmp_path / (name + ".txt")) for name in STREAM_FILES))
+
+
+def test_rewrites_past_the_last_arrival_extend_the_stream(tmp_path):
+    deltas = [SnapshotDelta(time=0, new_nodes=((0, np.full(2, 0.5), 0),)),
+              SnapshotDelta(time=1),
+              SnapshotDelta(time=2, attr_changes=((0, np.full(2, 0.25)),))]
+    paths = write_stream(deltas, str(tmp_path))
+    # without the schedule, the last step is the rewrite's
+    loaded = load_stream(paths["edges"], paths["features"], paths["labels"],
+                         None, paths["attrs"])
+    assert len(loaded) == 3
+    assert all(deltas_equal(a, b) for a, b in zip(deltas, loaded))
+    # writing a history without rewrites removes the earlier attrs file
+    assert "attrs" not in write_stream(deltas[:2], str(tmp_path))
+    assert not os.path.exists(paths["attrs"])
 
 
 def test_schedule_overrides_label_steps(tmp_path):
