@@ -75,6 +75,12 @@ class SnapshotDelta:
         return out
 
 
+def _in_unit(values):
+    """Whether every value lies in [0, 1], up to _FEATURE_TOL; NaN does not."""
+    return bool(((values >= -_FEATURE_TOL)
+                 & (values <= 1.0 + _FEATURE_TOL)).all())
+
+
 def _check_feature_row(row, dim, what):
     try:
         row = np.asarray(row, dtype=np.float64)
@@ -84,8 +90,7 @@ def _check_feature_row(row, dim, what):
     if row.ndim != 1 or (dim is not None and row.shape[0] != dim):
         raise GraphError("%s: feature dimension mismatch (got %r, want %r)"
                          % (what, row.shape, dim))
-    if row.size and not (row.min() >= -_FEATURE_TOL
-                         and row.max() <= 1.0 + _FEATURE_TOL):
+    if not _in_unit(row):
         raise GraphError("%s: feature values outside [0, 1]" % what)
     return row
 
@@ -99,10 +104,7 @@ def _row_block(rows, dim):
     block = np.array(rows, dtype=np.float64)
     if block.ndim != 2 or dim not in (None, block.shape[1]):
         return None
-    if block.size and not (block.min() >= -_FEATURE_TOL
-                           and block.max() <= 1.0 + _FEATURE_TOL):
-        return None
-    return block
+    return block if _in_unit(block) else None
 
 
 def _pair_block(pairs):
@@ -517,7 +519,7 @@ def _load_attrs(path, n, dim, arrival):
         if arrival[nid] > t:
             raise _parse_error(path, lineno, "node %d arrives after step %d"
                                % (nid, t))
-        if not ((row >= -_FEATURE_TOL) & (row <= 1.0 + _FEATURE_TOL)).all():
+        if not _in_unit(row):
             raise _parse_error(path, lineno, "feature values outside [0, 1]")
         if nid in attrs.setdefault(t, {}):
             raise _parse_error(path, lineno, "node %d rewritten twice at step %d"
