@@ -69,15 +69,13 @@ def score_naive(params, g_old, g_new, candidates):
     return {u: float(np.linalg.norm(D[i])) for i, u in enumerate(ids)}
 
 
-def score_bfs(params, g_old, g_new, delta, seeds=None):
+def score_bfs(params, g_old, g_new, delta):
     """Exact scores, restricted to nodes a change can actually reach.
 
     Representation drift is zero outside the layer_count-hop ball around
-    the changed nodes, so only that ball is scored. seeds, when given, is
-    delta.changed_nodes().
+    the changed nodes, so only that ball is scored.
     """
-    if seeds is None:
-        seeds = delta.changed_nodes()
+    seeds = delta.changed_nodes()
     if not seeds:
         return {}
     ball = l_hop_set(g_new, seeds, params.layer_count)
@@ -113,17 +111,16 @@ def _propagation_run(view, seeds, depth, include_self):
     return region, F
 
 
-def score_approx(params, g_old, g_new, delta, include_self=False,
-                 seeds=None):
+def score_approx(params, g_old, g_new, delta, include_self=False):
     """Linear-surrogate influence scores.
 
     Attribute-only deltas push each feature change through the weight
     product and spread its norm with the propagation weights. Deltas with
     structural changes instead measure each changed node's exact first-layer
     drift and spread that. Either way no full forward pass over the ball is
-    needed. seeds, when given, is delta.changed_nodes().
+    needed.
     """
-    seeds = sorted(delta.changed_nodes() if seeds is None else seeds)
+    seeds = sorted(delta.changed_nodes())
     if not seeds:
         return {}
     structural = bool(delta.new_nodes or delta.edge_adds or delta.edge_removes)

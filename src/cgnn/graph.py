@@ -9,7 +9,9 @@ delta holds, not what the graph holds:
   each node to its row id. New nodes append their rows; an attribute
   rewrite appends the new row and repoints its node. A written row never
   changes, so an older snapshot, a frozen ego-net or a sibling branch of
-  the same parent keeps reading what it read when it was made.
+  the same parent keeps reading what it read when it was made. No row is
+  reclaimed: the store holds a row per node plus one per rewrite of the
+  stream so far, in a block of at most twice that many rows.
 - Adjacency rows are sorted tuples; a delta rebuilds only the rows of its
   edge endpoints and shares every other row by identity.
 - A delta's new rows, rewrites and edges are checked as arrays, all before
@@ -107,12 +109,20 @@ def _row_block(rows, dim):
     return block if _in_unit(block) else None
 
 
-def _pair_block(pairs):
-    """The (u, v) pairs as an (m, 2) int64 block, or None."""
-    if not len(pairs):
-        return np.zeros((0, 2), dtype=np.int64)
-    block = np.array(pairs, dtype=np.int64)
-    return block if block.shape == (len(pairs), 2) else None
+def _is_id(value):
+    """Whether value is an integer, as a node id must be."""
+    return isinstance(value, (int, np.integer))
+
+
+def _id_block(ids, shape):
+    """The ids as an int64 array of the given shape, or None unless each is
+    an integer."""
+    if not len(ids):
+        return np.zeros(shape, dtype=np.int64)
+    block = np.array(ids)
+    if block.shape != shape or block.dtype.kind not in "biu":
+        return None
+    return block.astype(np.int64, copy=False)
 
 
 def _member(sorted_codes, codes):
@@ -142,8 +152,8 @@ def _parse(delta, n, dim, adj):
 
     # Edges as int64 codes: u * total + v for the directed pair (u, v).
     total = n + k
-    adds = _pair_block(delta.edge_adds)
-    removes = _pair_block(delta.edge_removes)
+    adds = _id_block(delta.edge_adds, (len(delta.edge_adds), 2))
+    removes = _id_block(delta.edge_removes, (len(delta.edge_removes), 2))
     if adds is None or removes is None:
         return None
     pairs = np.concatenate([adds, removes])
@@ -166,10 +176,11 @@ def _parse(delta, n, dim, adj):
     if _member(codes, added).any() or not _member(codes, removed).all():
         return None
 
-    attr_ids = np.array([nid for nid, _feat in delta.attr_changes],
-                        dtype=np.int64)
-    if len(attr_ids) and (attr_ids.min() < 0 or attr_ids.max() >= total
-                          or len(np.unique(attr_ids)) < len(attr_ids)):
+    m = len(delta.attr_changes)
+    attr_ids = _id_block([nid for nid, _feat in delta.attr_changes], (m,))
+    if attr_ids is None or m and (attr_ids.min() < 0
+                                  or attr_ids.max() >= total
+                                  or len(np.unique(attr_ids)) < m):
         return None
     attr_rows = _row_block([feat for _nid, feat in delta.attr_changes],
                            new_rows.shape[1] if dim is None else dim)
@@ -194,7 +205,8 @@ def _refuse(delta, n, dim, adj):
     """Raise the GraphError that names a delta's first fault.
 
     The checks of _parse, one item at a time, in the order new nodes, edge
-    pairs, edge presence, attribute changes.
+    pairs, edge presence, attribute changes. A delta that _parse refuses
+    fails one of them.
     """
     rows = []
     for nid, feat, lab in delta.new_nodes:
@@ -202,12 +214,17 @@ def _refuse(delta, n, dim, adj):
             raise GraphError("new node id %d breaks the contiguous id range" % nid)
         if lab is not None and lab < 0:
             raise GraphError("negative class label for node %d" % nid)
+        if lab is not None and lab > np.iinfo(np.int64).max:
+            raise GraphError("class label of node %d does not fit int64" % nid)
         rows.append(_check_feature_row(feat, dim, "new node %d" % nid))
         dim = rows[0].shape[0]
 
     total = n + len(rows)
     seen_pairs = set()
     for u, v in chain(delta.edge_adds, delta.edge_removes):
+        if not (_is_id(u) and _is_id(v)):
+            raise GraphError("edge %r: endpoints are not integer node ids"
+                             % ((u, v),))
         if u == v:
             raise GraphError("self loop (%d, %d) rejected" % (u, v))
         if not (0 <= u < total and 0 <= v < total):
@@ -225,6 +242,9 @@ def _refuse(delta, n, dim, adj):
 
     attr_seen = set()
     for nid, feat in delta.attr_changes:
+        if not _is_id(nid):
+            raise GraphError("attribute change for non-integer node id %r"
+                             % (nid,))
         if not (0 <= nid < total):
             raise GraphError("attribute change for unknown node %d" % nid)
         if nid in attr_seen:
@@ -238,8 +258,10 @@ class _RowStore:
     """Append-only float64 feature rows, shared by a snapshot and its
     successors.
 
-    Rows are appended after the filled ones and never written again. The
-    block doubles when it is full; rows is its read-only view.
+    Rows are appended after the filled ones and never written again, nor
+    freed, since an older snapshot may read them. The block doubles when
+    it is full, so it has at most twice the filled rows; rows is its
+    read-only view.
     """
 
     __slots__ = ("_block", "rows", "fill")

@@ -113,17 +113,15 @@ def _init_params(cfg, in_dim, out_dim, step):
                           cfg.layers, rng=rng)
 
 
-def detect_influenced(params, g_prev, g_t, delta, cfg, seeds=None):
+def detect_influenced(params, g_prev, g_t, delta, seeds, cfg):
     """Influenced-node set for one delta plus the wall time spent.
 
-    The threshold is applied over the changed nodes and their depth-hop
-    ball, whichever detector produced the scores, so detector choices stay
-    comparable. Nodes that just arrived are influenced by definition.
-    seeds, when given, is delta.changed_nodes().
+    seeds is delta.changed_nodes(). The threshold is applied over them and
+    their depth-hop ball, whichever detector produced the scores, so
+    detector choices stay comparable. Nodes that just arrived are
+    influenced by definition.
     """
     new_ids = {nid for nid, _f, _l in delta.new_nodes}
-    if seeds is None:
-        seeds = delta.changed_nodes()
     if not seeds:
         return set(), 0.0
     start = time.perf_counter()
@@ -131,9 +129,9 @@ def detect_influenced(params, g_prev, g_t, delta, cfg, seeds=None):
     if cfg.detector == "naive":
         raw = score_naive(params, g_prev, g_t, range(g_t.n))
     elif cfg.detector == "bfs":
-        raw = score_bfs(params, g_prev, g_t, delta, seeds)
+        raw = score_bfs(params, g_prev, g_t, delta)
     else:
-        raw = score_approx(params, g_prev, g_t, delta, seeds=seeds)
+        raw = score_approx(params, g_prev, g_t, delta)
     rule = ThresholdRule(cfg.threshold_mode, cfg.threshold_value)
     pool_scores = {u: raw.get(u, 0.0) for u in sorted(pool)}
     influenced = select_influenced(pool_scores, rule) | new_ids
@@ -283,7 +281,7 @@ def _step(model, params, mem, g_prev, delta, cfg, rng, train_nodes=None,
     det_seconds = 0.0
     if mode.scope == "influenced":
         influenced, det_seconds = detect_influenced(params, g_prev, g_t,
-                                                    delta, cfg, changed)
+                                                    delta, changed, cfg)
         train_ids = sorted(
             v for v in influenced if g_t.label(v) is not None
             and (train_nodes is None or v in train_nodes))

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cgnn.graph import (STREAM_FILES, GraphError, GraphState, SnapshotDelta,
-                        freeze_ego, l_hop_set, load_stream, replay,
-                        write_stream)
+                        _parse, _refuse, freeze_ego, l_hop_set, load_stream,
+                        replay, write_stream)
 
 from conftest import make_graph, random_stream
 from helpers import deltas_equal
@@ -117,6 +117,10 @@ def test_rejects_malformed_deltas():
     feat = np.full(3, 0.5)
     cases = [
         (SnapshotDelta(time=1, edge_adds=((0, 0),)), r"self loop \(0, 0\)"),
+        (SnapshotDelta(time=1, edge_adds=((0, 1.5),)),
+         r"edge \(0, 1.5\): endpoints are not integer node ids"),
+        (SnapshotDelta(time=1, edge_removes=((0, 2**63),)),
+         r"edge \(0, 9223372036854775808\) references unknown node"),
         (SnapshotDelta(time=1, edge_adds=((0, 9),)),
          r"edge \(0, 9\) references unknown node"),
         (SnapshotDelta(time=1, edge_adds=((0, 2), (2, 0))),
@@ -132,6 +136,8 @@ def test_rejects_malformed_deltas():
          r"removal of absent edge \(1, 3\)"),
         (SnapshotDelta(time=1, attr_changes=((9, feat),)),
          "attribute change for unknown node 9"),
+        (SnapshotDelta(time=1, attr_changes=((1.0, feat),)),
+         "attribute change for non-integer node id 1.0"),
         (SnapshotDelta(time=1, attr_changes=((1, feat), (1, feat))),
          "node 1 changed twice"),
         (SnapshotDelta(time=1, attr_changes=((1, np.full(2, 0.5)),)),
@@ -146,6 +152,8 @@ def test_rejects_malformed_deltas():
          r"new node 4: feature values outside \[0, 1\]"),
         (SnapshotDelta(time=1, new_nodes=((4, feat, -3),)),
          "negative class label for node 4"),
+        (SnapshotDelta(time=1, new_nodes=((4, feat, 2**63),)),
+         "class label of node 4 does not fit int64"),
         (SnapshotDelta(time=1, new_nodes=((5, feat, 0),)),
          "new node id 5 breaks the contiguous id range"),
         # with several faults, the new nodes are named before the edges
@@ -473,6 +481,73 @@ def edge_histories(draw, rewrites=False):
     return deltas
 
 
+_BAD_ROWS = (np.full(3, 0.5), np.full(2, 1.5), [0.5, np.nan], [0.5, "x"],
+             [[0.5, 0.5]], 0.5)
+
+
+@st.composite
+def noisy_deltas(draw):
+    """A snapshot and the next delta of a history, with at most one item of
+    the delta broken in any way the checks refuse, or in a way that only
+    looks refusable (an id given as a float of an integer)."""
+    deltas = draw(edge_histories(rewrites=True))
+    g = replay(deltas[:-1], draw(st.sampled_from([0, 2])))
+    d = deltas[-1]
+    total = g.n + len(d.new_nodes)
+    parts = {"new_nodes": list(d.new_nodes), "edge_adds": list(d.edge_adds),
+             "edge_removes": list(d.edge_removes),
+             "attr_changes": list(d.attr_changes)}
+    field = draw(st.sampled_from([k for k in parts if parts[k]] * 3 + [None]))
+    if field:
+        items = parts[field]
+        i = draw(st.integers(0, len(items) - 1))
+        item = list(items[i])
+        slot = draw(st.integers(0, len(item) - 1))
+        x = item[slot]
+        edges = field in ("edge_adds", "edge_removes")
+        if field == "new_nodes" and slot == 2:
+            bad = [-1, 2**63, 1.5]
+        elif slot == 1 and not edges:
+            bad = _BAD_ROWS
+        elif field == "new_nodes":
+            bad = [x + 1, x - 1, x + 0.5, float(x)]
+        elif field == "attr_changes":
+            bad = [-1, total, x + 0.5, float(x), 2**70, str(x),
+                   *(nid for nid, _feat in items)]
+        else:
+            bad = [-1, total, x + 0.5, float(x), 2**63, 2**70, str(x),
+                   item[1 - slot], "twice", "moved"]
+        pick = draw(st.sampled_from(bad))
+        # an edge pair may instead be given twice, or in the other list
+        if edges and pick == "twice":
+            items.append(items[i][::-1])
+        elif edges and pick == "moved":
+            other = "edge_removes" if field == "edge_adds" else "edge_adds"
+            parts[other].append(items.pop(i))
+        else:
+            item[slot] = pick
+            items[i] = tuple(item)
+    return g, SnapshotDelta(time=d.time, **{k: tuple(v)
+                                            for k, v in parts.items()})
+
+
+@settings(max_examples=300, deadline=None)
+@given(noisy_deltas())
+def test_array_and_item_checks_refuse_the_same_deltas(case):
+    # a delta the array checks refuse is one the item-by-item checks name
+    # a fault of, and a delta they accept is one the item checks pass
+    g, delta = case
+    dim = g.feature_dim if g.n or g.feature_dim else None
+    try:
+        parts = _parse(delta, g.n, dim, g._adj)
+    except (TypeError, ValueError, OverflowError):
+        parts = None
+    with pytest.raises(GraphError) as refusal:
+        _refuse(delta, g.n, dim, g._adj)
+    unnamed = "failed a check of its arrays" in str(refusal.value)
+    assert (parts is None) != unnamed, refusal.value
+
+
 @settings(max_examples=60, deadline=None)
 @given(edge_histories(rewrites=True))
 def test_stream_files_round_trip_any_edge_history(tmp_path_factory, deltas):
@@ -531,6 +606,11 @@ def test_snapshots_persist_through_later_steps_and_branches(history):
         assert snaps[-1]._store is snaps[0]._store
         assert snaps[-1]._store.fill - fill == (len(d.new_nodes)
                                                 + len(d.attr_changes))
+    # no row is reclaimed, and the block has at most twice the rows
+    store = snaps[0]._store
+    assert store.fill == sum(len(d.new_nodes) + len(d.attr_changes)
+                             for d in deltas + [branch])
+    assert len(store.rows) <= 2 * store.fill
     prefixes = [deltas[:i] for i in range(len(deltas) + 1)]
     for snap, prefix in zip(snaps, prefixes + [deltas[:b] + [branch]]):
         feats, labels, dense = _dense_fold(prefix, 2)

@@ -404,7 +404,8 @@ def test_detect_influenced_includes_new_nodes(rng):
     params, _, _ = run_stream("continual", deltas[:1], cfg, 4)
     g0 = GraphState.empty(4).apply_delta(deltas[0])
     g1 = g0.apply_delta(deltas[1])
-    influenced, _sec = detect_influenced(params, g0, g1, deltas[1], cfg)
+    influenced, _sec = detect_influenced(params, g0, g1, deltas[1],
+                                         deltas[1].changed_nodes(), cfg)
     # threshold too high for any score, yet arrivals are always in
     assert influenced == {nid for nid, _f, _l in deltas[1].new_nodes}
 
